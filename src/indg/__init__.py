@@ -49,7 +49,6 @@ from .real_ensemble import (
     density_real,
     expected_real_count,
     kernel_entries,
-    limit_densities,
     limit_kernels,
     log_jpdf_real_partial,
     skew_inner,
@@ -91,7 +90,6 @@ __all__ = [
     "kernel_KN",
     "kernel_entries",
     "ks_two_sample",
-    "limit_densities",
     "limit_kernels",
     "log_density",
     "log_jpdf_complex",

@@ -174,21 +174,19 @@ def kernel(beta, n, l, points, out, variant):
         raise click.UsageError(f"--points file is not numeric CSV: {exc}")
     if pts_arr.shape[1] != 2:
         raise click.UsageError("--points file needs exactly two columns: re, im")
-    zs = [complex(a, b) for a, b in pts_arr]
-    rows = [("i", "j", "ds_re", "ds_im", "s_re", "s_im", "is_re", "is_im", "eps")]
+    zs = pts_arr[:, 0] + 1j * pts_arr[:, 1]
     try:
-        for i, a in enumerate(zs):
-            for j, b in enumerate(zs):
-                e = re1.kernel_entries(a, b, params, variant=variant)
-                rows.append((i, j,
-                             complex(e.DS).real, complex(e.DS).imag,
-                             complex(e.S).real, complex(e.S).imag,
-                             complex(e.IS).real, complex(e.IS).imag, e.eps))
+        e = re1.kernel_entries(zs[:, None], zs[None, :], params, variant=variant)
     except _NUMERIC_ERRORS as exc:
         _exit_numeric(exc)
+    m = len(zs)
+    i, j = np.divmod(np.arange(m * m), m)
+    cols = [i, j, e.DS.real, e.DS.imag, e.S.real, e.S.imag, e.IS.real, e.IS.imag, e.eps]
+    rows = [("i", "j", "ds_re", "ds_im", "s_re", "s_im", "is_re", "is_im", "eps")]
+    rows += zip(*(np.ravel(c).tolist() for c in cols))
     with open(out, "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
-    click.echo(f"wrote {len(zs) ** 2} kernel entries to {out}")
+    click.echo(f"wrote {m ** 2} kernel entries to {out}")
 
 
 @main.command()

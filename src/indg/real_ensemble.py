@@ -8,6 +8,12 @@ flavours reduce to combinations of three helper functions (s_N, r_N, t) and,
 for the real/real IS entry, an exact finite sum over one-dimensional
 incomplete-gamma antiderivatives.
 
+The kernel layer is array-native: the helpers and kernel_entries broadcast
+over point arrays, the special functions are evaluated once per point (the
+IS sum once per point and sum index j), and only the s_N series and the IS
+sum run per point pair, with the sum index along a trailing axis.  A
+correlation therefore evaluates all of its point pairs in one pass.
+
 The module also provides the closed-form real/complex densities, the partial
 joint eigenvalue density, skew-orthogonal polynomial utilities with a
 quadrature inner product, and the large-N limit kernels and limit densities
@@ -37,13 +43,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special as sp
 
+from .complex_ensemble import _heaviside, _reg_p
+from .complex_ensemble import density_edge_profile as density_complex_edge_profile
 from .linalg import pfaffian
 from .sampling import EnsembleParams
 from .special import erfcx, log_gamma, lower_reg_gamma, upper_reg_gamma
 
 __all__ = [
     "RealKernelEntries",
-    "helper_psi",
     "helper_sN",
     "helper_t",
     "helper_rN",
@@ -57,7 +64,6 @@ __all__ = [
     "skew_inner",
     "limit_kernel_entries",
     "limit_kernels",
-    "limit_densities",
     "density_real_ring_limit",
     "density_complex_ring_limit",
     "density_real_edge_profile",
@@ -82,13 +88,6 @@ def _require_real_even(params: EnsembleParams):
         )
 
 
-def _reg_p(a, x):
-    """Regularized lower incomplete gamma with the a=0 limit P(0, x) = 1."""
-    if a == 0:
-        return np.ones_like(np.asarray(x, dtype=float))
-    return lower_reg_gamma(a, x)
-
-
 def _log_reg_p(a, x):
     with np.errstate(divide="ignore"):
         return np.log(lower_reg_gamma(a, x))
@@ -99,78 +98,99 @@ def _log_reg_q(a, x):
         return np.log(upper_reg_gamma(a, x))
 
 
-def helper_psi(z):
-    """Gaussian weight with the half-plane erfc dressing.
+def _log_psi(z):
+    """Real and imaginary parts of log psi(z), elementwise in complex z.
 
-    psi(z) = exp(-z^2/2) * sqrt(erfc(sqrt(2)*|Im z|)).  Real for real z
-    (where it reduces to exp(-x^2/2)), complex otherwise.
+    psi(z) = exp(-z^2/2) * sqrt(erfc(sqrt(2)*|Im z|)), the Gaussian weight
+    with the half-plane erfc dressing; the erfc is taken in its erfcx form,
+    stable for large |Im z|.
     """
-    z = np.asarray(z)
-    y = np.abs(z.imag) if np.iscomplexobj(z) else np.zeros_like(z, dtype=float)
-    val = np.exp(-0.5 * z * z) * np.sqrt(sp.erfc(math.sqrt(2.0) * y))
-    if val.ndim == 0:
-        return val.item()
-    return val
+    x, y = z.real, z.imag
+    mag = -0.5 * (x * x + y * y) + 0.5 * np.log(erfcx(math.sqrt(2.0) * np.abs(y)))
+    return mag, -x * y
 
 
-def _log_psi(z: complex) -> complex:
-    """log of helper_psi, stable for large |Im z| (erfcx form)."""
-    y = abs(z.imag)
-    if y == 0.0:
-        return -0.5 * z * z
-    # log erfc(sqrt(2) y) = log erfcx(sqrt(2) y) - 2 y^2
-    return -0.5 * z * z + 0.5 * (math.log(erfcx(math.sqrt(2.0) * y)) - 2.0 * y * y)
+def _log_dress(z, p):
+    """log of the per-point dressing psi(z) * z^p, elementwise in complex z.
 
-
-def _log_dress(z: complex, L: float) -> complex:
-    """log of the per-point dressing D(z) = psi(z) * z^L.
-
-    For real z the correct weight is exp(-x^2/2) |x|^L (no sign), which is
-    what the real inner product and parity demand; for strictly complex z the
-    principal power applies.  Returns -inf for z=0 with L>0.
+    On the real axis the power is |x|^p (no sign), which is what the real
+    inner product and parity demand; off it the principal power applies.
+    The real part is -inf at z=0 for p>0.
     """
-    if z.imag == 0.0:
-        x = z.real
-        if x == 0.0:
-            return 0.0 if L == 0 else -math.inf
-        return complex(-0.5 * x * x + L * math.log(abs(x)))
-    out = _log_psi(z)
-    if L != 0:
-        out = out + L * complex(math.log(abs(z)), math.atan2(z.imag, z.real))
-    return out
+    mag, phase = _log_psi(z)
+    if p != 0:
+        with np.errstate(divide="ignore"):
+            mag = mag + p * np.log(np.abs(z))
+        phase = phase + p * np.where(z.imag == 0.0, 0.0, np.angle(z))
+    return mag + 1j * phase
 
 
-def _is_real_input(w) -> bool:
-    return complex(w).imag == 0.0
+def _finish(val, *args):
+    """val as a real array when every argument is real; a Python scalar if 0-d."""
+    if all(np.isrealobj(v) or not np.any(np.imag(v)) for v in args):
+        val = val.real
+    return val.item() if val.ndim == 0 else val
+
+
+def _s_series(zeta, ld, N, L):
+    """(2*pi)^{-1/2} exp(ld) * sum_{j=0}^{N-2} zeta^j / Gamma(L+j+1), elementwise.
+
+    Summed term-wise in log-magnitude/phase form, scaled by the largest term,
+    so N of several hundred stays finite; the j axis is the trailing one.
+    """
+    j = np.arange(N - 1, dtype=float)
+    lg = log_gamma(L + j + 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logmag = j * np.log(np.abs(zeta))[..., None] - lg
+    logmag[..., 0] = -lg[0]  # zeta^0 = 1, also at zeta = 0
+    phase = j * np.angle(zeta)[..., None]
+    peak = logmag.max(axis=-1)
+    series = np.sum(np.exp(logmag - peak[..., None] + 1j * phase), axis=-1)
+    return series * np.exp(ld + peak - _HALF_LOG_2PI)
+
+
+def _require_variant(variant: str):
+    if variant not in ("theorem", "appendix"):
+        raise ValueError(f"unknown t variant {variant!r}")
+
+
+def _t(x, z, L, variant):
+    """t(x, z) elementwise, complex-valued; see helper_t."""
+    _require_variant(variant)
+    if L == 0:
+        if variant == "theorem":
+            return np.zeros(np.broadcast(x, z).shape, dtype=complex)
+        with np.errstate(divide="ignore"):
+            log_x = np.log(0.5 * sp.exp1(0.5 * x * x))
+    else:
+        denom = log_gamma(L) if variant == "theorem" else log_gamma(L + 1.0)
+        log_x = ((0.5 * L - 1.0) * _LOG2 + log_gamma(0.5 * L)
+                 + _log_reg_q(0.5 * L, 0.5 * x * x) - denom)
+    return np.exp(log_x - _HALF_LOG_2PI + _log_dress(z, L))
+
+
+def _r(x, z, N, L):
+    """r_N(x, z) elementwise, complex-valued; see helper_rN."""
+    s = 0.5 * (N + L - 1.0)
+    log_x = (0.5 * (N + L - 3.0) * _LOG2 + log_gamma(s) + _log_reg_p(s, 0.5 * x * x)
+             - log_gamma(N + L - 1.0) - _HALF_LOG_2PI)
+    # |z|^L z^{N-1} on the real axis: N even makes z^{N-1} carry sgn(z)
+    sign = np.sign(x) * np.where(z.imag == 0.0, np.sign(z.real), 1.0)
+    return sign * np.exp(log_x + _log_dress(z, N + L - 1.0))
 
 
 def helper_sN(z, w, params: EnsembleParams):
     """Truncated exponential-series kernel helper s_N(z, w).
 
     s_N(z, w) = (2*pi)^{-1/2} D(z) D(w) * sum_{j=0}^{N-2} (z w)^j / Gamma(L+j+1)
-    with D the per-point dressing of _log_dress.  Symmetric in (z, w).
-    Returns a float when both arguments are real, complex otherwise.
+    with D(z) = psi(z) z^L the per-point dressing of _log_dress.  Symmetric in
+    (z, w) and broadcast over array arguments.  Real-valued when both
+    arguments are real, complex otherwise; a Python scalar for scalar input.
     """
     _require_real_even(params)
-    N, L = params.N, params.L
-    a, b = complex(z), complex(w)
-    real_io = a.imag == 0.0 and b.imag == 0.0
-
-    ld = _log_dress(a, L) + _log_dress(b, L) - _HALF_LOG_2PI
-    if not np.isfinite(ld.real):
-        return 0.0 if real_io else 0.0j
-
-    zeta = a * b
-    if zeta == 0.0:
-        val = np.exp(ld - log_gamma(L + 1.0))
-    else:
-        j = np.arange(N - 1)
-        log_zeta = complex(math.log(abs(zeta)), math.atan2(zeta.imag, zeta.real))
-        terms = j * log_zeta - sp.gammaln(L + j + 1.0)
-        peak = terms.real.max()
-        series = np.sum(np.exp(terms - peak))
-        val = series * np.exp(ld + peak)
-    return float(val.real) if real_io else complex(val)
+    a, b = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
+    ld = _log_dress(a, params.L) + _log_dress(b, params.L)
+    return _finish(_s_series(a * b, ld, params.N, params.L), z, w)
 
 
 def helper_t(x, z, params: EnsembleParams, variant: str = "theorem"):
@@ -182,31 +202,11 @@ def helper_t(x, z, params: EnsembleParams, variant: str = "theorem"):
     Gamma(L+1); see the module docstring for why "theorem" is the default.
     At L=0 the default variant vanishes identically (the 1/Gamma(L) limit),
     while "appendix" degenerates to the exponential-integral form.
+    Broadcast over array arguments; real-valued when z is real.
     """
     _require_real_even(params)
-    if variant not in ("theorem", "appendix"):
-        raise ValueError(f"unknown t variant {variant!r}")
-    x = float(x)
-    L = params.L
-    b = complex(z)
-    real_io = b.imag == 0.0
-
-    if L == 0:
-        if variant == "theorem":
-            return 0.0 if real_io else 0.0j
-        val = np.exp(_log_dress(b, 0.0) - _HALF_LOG_2PI) * 0.5 * sp.exp1(0.5 * x * x)
-        return float(val.real) if real_io else complex(val)
-
-    log_q = _log_reg_q(0.5 * L, 0.5 * x * x)
-    if not np.isfinite(log_q):
-        return 0.0 if real_io else 0.0j
-    denom = log_gamma(L) if variant == "theorem" else log_gamma(L + 1.0)
-    ld = _log_dress(b, L)
-    if not np.isfinite(ld.real):
-        return 0.0 if real_io else 0.0j
-    log_amp = (0.5 * L - 1.0) * _LOG2 + log_gamma(0.5 * L) + log_q - denom - _HALF_LOG_2PI
-    val = np.exp(ld + log_amp)
-    return float(val.real) if real_io else complex(val)
+    val = _t(np.asarray(x, dtype=float), np.asarray(z, dtype=complex), params.L, variant)
+    return _finish(val, z)
 
 
 def helper_rN(x, z, params: EnsembleParams):
@@ -217,39 +217,11 @@ def helper_rN(x, z, params: EnsembleParams):
     where dress(z) = psi(z) z^{N+L-1} for strictly complex z and
     exp(-z^2/2) |z|^L z^{N-1} for real z (the |z|^L keeps the even parity
     that the real weight function demands).  Odd in the real first argument.
+    Broadcast over array arguments; real-valued when z is real.
     """
     _require_real_even(params)
-    N, L = params.N, params.L
-    x = float(x)
-    b = complex(z)
-    real_io = b.imag == 0.0
-
-    if x == 0.0:
-        return 0.0 if real_io else 0.0j
-    s = 0.5 * (N + L - 1.0)
-    log_p = _log_reg_p(s, 0.5 * x * x)
-    if not np.isfinite(log_p):
-        return 0.0 if real_io else 0.0j
-    log_amp = (
-        0.5 * (N + L - 3.0) * _LOG2
-        + log_gamma(s)
-        + log_p
-        - log_gamma(N + L - 1.0)
-        - _HALF_LOG_2PI
-    )
-
-    sign = 1.0 if x > 0 else -1.0
-    if real_io:
-        t = b.real
-        if t == 0.0:
-            return 0.0
-        # exp(-t^2/2) |t|^L t^{N-1}; N even makes t^{N-1} carry sgn(t).
-        if t < 0:
-            sign = -sign
-        ld = -0.5 * t * t + (N + L - 1.0) * math.log(abs(t))
-        return sign * math.exp(log_amp + ld)
-    ld = _log_psi(b) + (N + L - 1.0) * complex(math.log(abs(b)), math.atan2(b.imag, b.real))
-    return sign * complex(np.exp(ld + log_amp))
+    val = _r(np.asarray(x, dtype=float), np.asarray(z, dtype=complex), params.N, params.L)
+    return _finish(val, z)
 
 
 # ---------------------------------------------------------------------------
@@ -257,61 +229,59 @@ def helper_rN(x, z, params: EnsembleParams):
 # ---------------------------------------------------------------------------
 
 
-def _tau_even_logmag(j: int, x: float, L: float):
+def _tau_even_logmag(j, x, L: float):
     """(sign, log|.|) of the antiderivative paired with the even polynomial.
 
     tau_{2j}(x) = -sgn(x) 2^{(m-1)/2} Gamma((m+1)/2) P((m+1)/2, x^2/2),
-    m = 2j+L.  Odd in x.
+    m = 2j+L.  Odd in x.  Broadcast over j and x; log|.| is -inf at x=0.
     """
-    if x == 0.0:
-        return 0.0, -math.inf
-    m = 2.0 * j + L
+    m = 2.0 * np.asarray(j, dtype=float) + L
     a = 0.5 * (m + 1.0)
-    lp = _log_reg_p(a, 0.5 * x * x)
-    return (-1.0 if x > 0 else 1.0), 0.5 * (m - 1.0) * _LOG2 + log_gamma(a) + lp
+    lp = _log_reg_p(a, 0.5 * np.square(x))
+    return -np.sign(x), 0.5 * (m - 1.0) * _LOG2 + log_gamma(a) + lp
 
 
-def _tau_odd_logmag(j: int, x: float, L: float):
+def _tau_odd_logmag(j, x, L: float):
     """(sign, log|.|) of the antiderivative paired with the odd polynomial.
 
     tau_1(x) = 2^{L/2} Gamma(L/2+1) Q(L/2+1, x^2/2); for j >= 1 the telescoping
     of the two monomials collapses to tau_{2j+1}(x) = exp(-x^2/2)|x|^L x^{2j}.
-    Even in x.
+    Even in x, so the sign is 1.  Broadcast over j and x.
     """
-    if j == 0:
-        lq = _log_reg_q(0.5 * L + 1.0, 0.5 * x * x)
-        return 1.0, 0.5 * L * _LOG2 + log_gamma(0.5 * L + 1.0) + lq
-    if x == 0.0:
-        return 1.0, -math.inf
-    return 1.0, -0.5 * x * x + (L + 2.0 * j) * math.log(abs(x))
+    j = np.asarray(j, dtype=float)
+    x = np.asarray(x, dtype=float)
+    lq = 0.5 * L * _LOG2 + log_gamma(0.5 * L + 1.0) + _log_reg_q(0.5 * L + 1.0, 0.5 * x * x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mono = -0.5 * x * x + (L + 2.0 * j) * np.log(np.abs(x))
+    return 1.0, np.where(j == 0, lq, mono)
 
 
-def _is_real_real(x: float, y: float, params: EnsembleParams) -> float:
-    """IS entry for two real arguments, via the exact antiderivative sum."""
+def _is_real_real(x, y, params: EnsembleParams):
+    """IS entry for real arguments, via the exact antiderivative sum.
+
+    Elementwise over broadcast x and y; the sum index j runs along a trailing
+    axis and each element's sum is scaled by its own largest term.
+    """
     N, L = params.N, params.L
-    signs = []
-    logs = []
-    for j in range(N // 2):
-        lr = -_HALF_LOG_2PI - log_gamma(L + 2.0 * j + 1.0)
-        se_x, le_x = _tau_even_logmag(j, x, L)
-        so_y, lo_y = _tau_odd_logmag(j, y, L)
-        so_x, lo_x = _tau_odd_logmag(j, x, L)
-        se_y, le_y = _tau_even_logmag(j, y, L)
-        signs.append(se_x * so_y)
-        logs.append(le_x + lo_y + lr)
-        signs.append(-so_x * se_y)
-        logs.append(lo_x + le_y + lr)
-    logs = np.asarray(logs)
-    signs = np.asarray(signs)
-    peak = logs.max()
-    if not np.isfinite(peak):
-        return 0.0
-    return float(np.sum(signs * np.exp(logs - peak)) * math.exp(peak))
+    j = np.arange(N // 2, dtype=float)
+    x = np.asarray(x, dtype=float)[..., None]
+    y = np.asarray(y, dtype=float)[..., None]
+    lr = -_HALF_LOG_2PI - log_gamma(L + 2.0 * j + 1.0)
+    se_x, le_x = _tau_even_logmag(j, x, L)
+    so_x, lo_x = _tau_odd_logmag(j, x, L)
+    se_y, le_y = _tau_even_logmag(j, y, L)
+    so_y, lo_y = _tau_odd_logmag(j, y, L)
+    l1 = le_x + lo_y + lr
+    l2 = lo_x + le_y + lr
+    peak = np.maximum(l1.max(axis=-1), l2.max(axis=-1))[..., None]
+    peak = np.where(np.isfinite(peak), peak, 0.0)
+    terms = se_x * so_y * np.exp(l1 - peak) - so_x * se_y * np.exp(l2 - peak)
+    return np.sum(terms, axis=-1) * np.exp(peak[..., 0])
 
 
 @dataclass(frozen=True)
 class RealKernelEntries:
-    """Scalar entries of one 2x2 kernel block.
+    """Entries of one 2x2 kernel block, or arrays of them over point pairs.
 
     eps is the sign term that accompanies IS when both arguments are real;
     it is identically zero otherwise.
@@ -323,58 +293,72 @@ class RealKernelEntries:
     eps: float
 
 
+def _upper(z):
+    """Fold complex points onto their upper-half-plane representatives."""
+    z = np.asarray(z, dtype=complex)
+    return np.where(z.imag < 0.0, z.conj(), z)
+
+
+def _block_entries(a, b, s, sc, u_ba, u_ab, is_rr):
+    """Kernel block entries in every real/complex flavour, elementwise.
+
+    a, b are folded points; s = s(a, b) and sc = s(a, conj b) are the series
+    helper, with s(conj a, conj b) = conj s; u_ba = u(Re b, a) and
+    u_ab = u(Re a, b) are the correction terms u(x, w) = r_N(x, w) + t(x, w),
+    with u(x, conj w) = conj u(x, w); is_rr is the real/real IS entry.
+    """
+    a_real = a.imag == 0.0
+    b_real = b.imag == 0.0
+    rr = a_real & b_real
+    DS = (b - a) * s
+    S = np.where(b_real, s + u_ba, 1j * (b.conj() - a) * sc)
+    IS = np.select(
+        [rr, a_real, b_real],
+        [is_rr, -1j * (s + u_ab).conj(), 1j * (s + u_ba).conj()],
+        (a.conj() - b.conj()) * s.conj(),
+    )
+    eps = np.where(rr, 0.5 * np.sign(a.real - b.real), 0.0)
+    DS, S, IS = (np.where(rr, v.real, v) for v in (DS, S, IS))
+    return RealKernelEntries(DS=DS, S=S, IS=IS, eps=eps)
+
+
+def _scalar_if(e: RealKernelEntries, a, b) -> RealKernelEntries:
+    if np.ndim(a) or np.ndim(b):
+        return e
+    return RealKernelEntries(DS=complex(e.DS), S=complex(e.S), IS=complex(e.IS),
+                             eps=float(e.eps))
+
+
+def _kernel_arrays(a, b, params: EnsembleParams, variant: str = "theorem") -> RealKernelEntries:
+    """Array core of kernel_entries: entries over broadcast point arrays a, b.
+
+    The terms that only some flavours use are skipped when no pair needs
+    them, which keeps a scalar call to the work of its own flavour.
+    """
+    _require_real_even(params)
+    _require_variant(variant)
+    N, L = params.N, params.L
+    a, b = _upper(a), _upper(b)
+    a_real, b_real = a.imag == 0.0, b.imag == 0.0
+    lda, ldb = _log_dress(a, L), _log_dress(b, L)
+    s = _s_series(a * b, lda + ldb, N, L)
+    sc = _s_series(a * b.conj(), lda + ldb.conj(), N, L) if not b_real.all() else s
+    u_ba = _r(b.real, a, N, L) + _t(b.real, a, L, variant) if b_real.any() else 0.0
+    u_ab = _r(a.real, b, N, L) + _t(a.real, b, L, variant) if a_real.any() else 0.0
+    is_rr = _is_real_real(a.real, b.real, params) if (a_real & b_real).any() else 0.0
+    return _block_entries(a, b, s, sc, u_ba, u_ab, is_rr)
+
+
 def kernel_entries(a, b, params: EnsembleParams, variant: str = "theorem") -> RealKernelEntries:
     """Kernel block entries for an ordered argument pair (a, b).
 
     Arguments may be real or complex; a complex argument with Im < 0 is
     folded onto its upper-half-plane conjugate representative.  DS and IS
     are antisymmetric under (a, b) swap; for two real arguments all entries
-    are real-valued.
+    are real-valued.  Array arguments broadcast against each other and give
+    arrays of entries; scalar arguments give Python scalars.
     """
-    _require_real_even(params)
-    a, b = complex(a), complex(b)
-    if a.imag < 0.0:
-        a = a.conjugate()
-    if b.imag < 0.0:
-        b = b.conjugate()
-    a_real = a.imag == 0.0
-    b_real = b.imag == 0.0
-
-    DS = (b - a) * helper_sN(a, b, params)
-    eps = 0.0
-    if a_real and b_real:
-        x, y = a.real, b.real
-        S = (
-            helper_sN(x, y, params)
-            + helper_rN(y, x, params)
-            + helper_t(y, x, params, variant)
-        )
-        IS = _is_real_real(x, y, params)
-        eps = 0.5 * math.copysign(1.0, x - y) if x != y else 0.0
-    elif a_real and not b_real:
-        x, wbar = a.real, b.conjugate()
-        S = 1j * (wbar - x) * helper_sN(x, wbar, params)
-        IS = -1j * (
-            helper_sN(x, wbar, params)
-            + helper_rN(x, wbar, params)
-            + helper_t(x, wbar, params, variant)
-        )
-    elif b_real and not a_real:
-        y, zbar = b.real, a.conjugate()
-        S = (
-            helper_sN(y, a, params)
-            + helper_rN(y, a, params)
-            + helper_t(y, a, params, variant)
-        )
-        IS = 1j * (
-            helper_sN(y, zbar, params)
-            + helper_rN(y, zbar, params)
-            + helper_t(y, zbar, params, variant)
-        )
-    else:
-        S = 1j * (b.conjugate() - a) * helper_sN(a, b.conjugate(), params)
-        IS = (a.conjugate() - b.conjugate()) * helper_sN(a.conjugate(), b.conjugate(), params)
-    return RealKernelEntries(DS=complex(DS), S=complex(S), IS=complex(IS), eps=eps)
+    return _scalar_if(_kernel_arrays(a, b, params, variant), a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -401,46 +385,6 @@ def density_complex(z, params: EnsembleParams):
     return float(val) if val.ndim == 0 else val
 
 
-def _t_diag(x, N, L, variant="theorem"):
-    """Vectorized t(x, x) on the real axis."""
-    x = np.asarray(x, dtype=float)
-    if L == 0:
-        if variant == "theorem":
-            return np.zeros_like(x)
-        return np.exp(-0.5 * x * x) * 0.5 * sp.exp1(0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    denom = log_gamma(L) if variant == "theorem" else log_gamma(L + 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lx = np.where(x == 0.0, -np.inf, np.log(np.abs(x)))
-        out = np.exp(
-            -0.5 * x * x
-            + L * lx
-            + (0.5 * L - 1.0) * _LOG2
-            + log_gamma(0.5 * L)
-            + _log_reg_q(0.5 * L, 0.5 * x * x)
-            - denom
-            - _HALF_LOG_2PI
-        )
-    return np.where(np.isfinite(out), out, 0.0)
-
-
-def _r_diag(x, N, L):
-    """Vectorized r_N(x, x) on the real axis (even, nonnegative)."""
-    x = np.asarray(x, dtype=float)
-    s = 0.5 * (N + L - 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lx = np.where(x == 0.0, -np.inf, np.log(np.abs(x)))
-        out = np.exp(
-            -0.5 * x * x
-            + (N + L - 1.0) * lx
-            + 0.5 * (N + L - 3.0) * _LOG2
-            + log_gamma(s)
-            + _log_reg_p(s, 0.5 * x * x)
-            - log_gamma(N + L - 1.0)
-            - _HALF_LOG_2PI
-        )
-    return np.where(np.isfinite(out), out, 0.0)
-
-
 def density_real(x, params: EnsembleParams, variant: str = "theorem"):
     """Mean density of real eigenvalues at x.
 
@@ -452,8 +396,8 @@ def density_real(x, params: EnsembleParams, variant: str = "theorem"):
     x = np.asarray(x, dtype=float)
     u = x * x
     bulk = (_reg_p(L, u) - lower_reg_gamma(L + N - 1.0, u)) / math.sqrt(2.0 * math.pi)
-    val = bulk + _t_diag(x, N, L, variant) + _r_diag(x, N, L)
-    return float(val) if val.ndim == 0 else val
+    val = bulk + helper_t(x, x, params, variant) + helper_rN(x, x, params)
+    return float(val) if np.ndim(val) == 0 else val
 
 
 # ---------------------------------------------------------------------------
@@ -465,17 +409,16 @@ def _assemble_blocks(points, entry_fn):
     """2x2-block antisymmetric matrix from an entry function.
 
     Block (i, j) is [[DS(w_i, w_j), S(w_i, w_j)], [-S(w_j, w_i), IS + eps]].
+    entry_fn is called once, on the (m, 1) x (1, m) grid of point pairs.
     """
-    m = len(points)
-    ent = [[entry_fn(points[i], points[j]) for j in range(m)] for i in range(m)]
-    A = np.zeros((2 * m, 2 * m), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            e = ent[i][j]
-            A[2 * i, 2 * j] = e.DS
-            A[2 * i, 2 * j + 1] = e.S
-            A[2 * i + 1, 2 * j] = -ent[j][i].S
-            A[2 * i + 1, 2 * j + 1] = e.IS + e.eps
+    p = np.asarray(points, dtype=complex)
+    e = entry_fn(p[:, None], p[None, :])
+    m = len(p)
+    A = np.empty((2 * m, 2 * m), dtype=complex)
+    A[0::2, 0::2] = e.DS
+    A[0::2, 1::2] = e.S
+    A[1::2, 0::2] = -e.S.T
+    A[1::2, 1::2] = e.IS + e.eps
     return A
 
 
@@ -503,10 +446,10 @@ def correlations_pfaffian(reals, complexes, params: EnsembleParams) -> float:
         raise ValueError("complex correlation points must satisfy Im z > 0")
     if len(reals) + len(complexes) > params.N:
         raise ValueError("more correlation points than eigenvalues")
-    pts = list(reals) + list(complexes)
-    if not pts:
+    pts = np.concatenate([reals, complexes])
+    if not pts.size:
         return 1.0
-    A = _assemble_blocks(pts, lambda a, b: kernel_entries(a, b, params))
+    A = _assemble_blocks(pts, lambda a, b: _kernel_arrays(a, b, params))
     return _pfaffian_of_blocks(A)
 
 
@@ -685,14 +628,13 @@ def skew_inner(f, g, L: float, *, half_width: float = 13.0, order: int = 24) -> 
 # ---------------------------------------------------------------------------
 
 
-def _limit_g(a: complex, b: complex) -> complex:
+def _limit_g(a, b):
     """Limit of s_N at unit local scale: Gaussian times half-plane dressings."""
     out = -0.5 * (a - b) * (a - b) - _HALF_LOG_2PI
     for p in (a, b):
-        y = abs(p.imag)
-        if y != 0.0:
-            out = out + 0.5 * (math.log(erfcx(math.sqrt(2.0) * y)) - 2.0 * y * y)
-    return complex(np.exp(out))
+        y = np.abs(p.imag)
+        out = out + 0.5 * (np.log(erfcx(math.sqrt(2.0) * y)) - 2.0 * y * y)
+    return np.exp(out)
 
 
 def limit_kernel_entries(a, b, u: float | None = None) -> RealKernelEntries:
@@ -702,43 +644,19 @@ def limit_kernel_entries(a, b, u: float | None = None) -> RealKernelEntries:
     inside the ring).  Passing u = +1 or -1 multiplies each entry by the
     circular-edge factor erfc(u (p+q)/sqrt(2))/2 evaluated on that entry's
     Gaussian argument pair; the edge forms apply to strictly complex offsets.
+    Broadcast over array arguments like kernel_entries.
     """
-    a, b = complex(a), complex(b)
-    if a.imag < 0.0:
-        a = a.conjugate()
-    if b.imag < 0.0:
-        b = b.conjugate()
-    a_real = a.imag == 0.0
-    b_real = b.imag == 0.0
-    if u is not None and (a_real or b_real):
+    p, q = _upper(a), _upper(b)
+    if u is not None and np.any((p.imag == 0.0) | (q.imag == 0.0)):
         raise ValueError("edge limit kernels are restricted to complex offsets")
 
-    def edge(p: complex, q: complex) -> complex:
-        if u is None:
-            return 1.0
-        return 0.5 * sp.erfc(u * (p + q) / math.sqrt(2.0))
+    def h(v, w):
+        g = _limit_g(v, w)
+        return g if u is None else g * 0.5 * sp.erfc(u * (v + w) / math.sqrt(2.0))
 
-    DS = (b - a) * _limit_g(a, b) * edge(a, b)
-    eps = 0.0
-    if a_real and b_real:
-        d = a.real - b.real
-        S = _limit_g(a, b)
-        IS = -0.5 * math.erf(d / math.sqrt(2.0))
-        eps = 0.5 * math.copysign(1.0, d) if d != 0.0 else 0.0
-    elif a_real and not b_real:
-        S = 1j * (b.conjugate() - a) * _limit_g(a, b.conjugate()) * edge(a, b.conjugate())
-        IS = -1j * _limit_g(a, b.conjugate()) * edge(a, b.conjugate())
-    elif b_real and not a_real:
-        S = _limit_g(a, b) * edge(a, b)
-        IS = 1j * _limit_g(a.conjugate(), b) * edge(a.conjugate(), b)
-    else:
-        S = 1j * (b.conjugate() - a) * _limit_g(a, b.conjugate()) * edge(a, b.conjugate())
-        IS = (
-            (a.conjugate() - b.conjugate())
-            * _limit_g(a.conjugate(), b.conjugate())
-            * edge(a.conjugate(), b.conjugate())
-        )
-    return RealKernelEntries(DS=complex(DS), S=complex(S), IS=complex(IS), eps=eps)
+    is_rr = -0.5 * sp.erf((p.real - q.real) / math.sqrt(2.0))
+    e = _block_entries(p, q, h(p, q), h(p, q.conj()), 0.0, 0.0, is_rr)
+    return _scalar_if(e, a, b)
 
 
 def limit_kernels(points, u, regime: str, alpha: float) -> float:
@@ -755,7 +673,7 @@ def limit_kernels(points, u, regime: str, alpha: float) -> float:
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    pts = [complex(p) for p in np.atleast_1d(np.asarray(points, dtype=complex))]
+    pts = np.atleast_1d(np.asarray(points, dtype=complex))
     uc = complex(u)
 
     if regime == "real-bulk":
@@ -771,18 +689,17 @@ def limit_kernels(points, u, regime: str, alpha: float) -> float:
         r = abs(uc)
         if not (math.sqrt(alpha) - 1e-12 <= r <= math.sqrt(alpha + 1.0) + 1e-12):
             raise ValueError("complex-bulk center must sit in the closed ring")
-        s = np.asarray(pts, dtype=complex)
         M = np.exp(
-            -0.5 * np.abs(s[:, None]) ** 2
-            - 0.5 * np.abs(s[None, :]) ** 2
-            + s[:, None] * np.conj(s[None, :])
+            -0.5 * np.abs(pts[:, None]) ** 2
+            - 0.5 * np.abs(pts[None, :]) ** 2
+            + pts[:, None] * np.conj(pts[None, :])
         ) / math.pi
         return float(np.linalg.det(M).real)
 
     if regime == "edge":
         if abs(uc.imag) > 1e-12 or abs(abs(uc.real) - 1.0) > 1e-9:
             raise ValueError("edge regime needs u = +1 or -1")
-        if any(p.imag == 0.0 for p in pts):
+        if np.any(pts.imag == 0.0):
             raise ValueError("edge limit kernels are restricted to complex offsets")
         uu = 1.0 if uc.real > 0 else -1.0
         A = _assemble_blocks(pts, lambda a, b: limit_kernel_entries(a, b, u=uu))
@@ -797,15 +714,7 @@ def limit_kernels(points, u, regime: str, alpha: float) -> float:
 
 
 def _ring_indicator(r, alpha: float):
-    from .complex_ensemble import THETA_AT_EDGE
-
-    r = np.asarray(r, dtype=float)
-    lo, hi = math.sqrt(alpha), math.sqrt(alpha + 1.0)
-
-    def theta(t):
-        return np.where(t > 0.0, 1.0, np.where(t == 0.0, THETA_AT_EDGE, 0.0))
-
-    return theta(hi - r) - theta(lo - r)
+    return _heaviside(math.sqrt(alpha + 1.0) - r) - _heaviside(math.sqrt(alpha) - r)
 
 
 def density_real_ring_limit(x, alpha: float):
@@ -819,16 +728,6 @@ def density_real_ring_limit(x, alpha: float):
 def density_complex_ring_limit(z, alpha: float):
     """Flat ring limit of the off-axis density: indicator / pi."""
     val = _ring_indicator(np.abs(np.asarray(z, dtype=complex)), alpha) / math.pi
-    return float(val) if val.ndim == 0 else val
-
-
-def density_complex_edge_profile(xi):
-    """Off-axis circular-edge profile erfc(sqrt(2) xi) / (2 pi).
-
-    xi is the signed distance into the forbidden region (positive outside
-    the outer edge / inside the inner hole).
-    """
-    val = sp.erfc(math.sqrt(2.0) * np.asarray(xi, dtype=float)) / (2.0 * math.pi)
     return float(val) if val.ndim == 0 else val
 
 
@@ -863,25 +762,11 @@ def density_crossover_profile(v):
 def density_real_origin_limit(x, L: float):
     """Fixed-L large-N real density near the origin.
 
-    (2 pi)^{-1/2} P(L, x^2) plus the t-type correction; reduces to the
-    constant 1/sqrt(2 pi) at L=0.
+    (2 pi)^{-1/2} P(L, x^2) plus the t-type correction t(x, x), which does
+    not depend on N; reduces to the constant 1/sqrt(2 pi) at L=0.
     """
     x = np.asarray(x, dtype=float)
-    if L == 0:
-        val = np.full_like(x, 1.0 / math.sqrt(2.0 * math.pi))
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lx = np.where(x == 0.0, -np.inf, np.log(np.abs(x)))
-            t_term = np.exp(
-                -0.5 * x * x
-                + L * lx
-                + (0.5 * L - 1.0) * _LOG2
-                + log_gamma(0.5 * L)
-                + _log_reg_q(0.5 * L, 0.5 * x * x)
-                - log_gamma(L)
-            )
-        t_term = np.where(np.isfinite(t_term), t_term, 0.0)
-        val = (lower_reg_gamma(L, x * x) + t_term) / math.sqrt(2.0 * math.pi)
+    val = _reg_p(L, x * x) / math.sqrt(2.0 * math.pi) + _t(x, x, L, "theorem").real
     return float(val) if val.ndim == 0 else val
 
 
@@ -911,29 +796,3 @@ def expected_real_count(params: EnsembleParams, variant: str = "theorem") -> flo
 def real_count_leading_order(N: int, L: float) -> float:
     """Leading-order mean real-eigenvalue count sqrt(2/pi) (sqrt(N+L) - sqrt(L))."""
     return math.sqrt(2.0 / math.pi) * (math.sqrt(N + L) - math.sqrt(L))
-
-
-_LIMIT_DISPATCH = {
-    "real-ring": density_real_ring_limit,
-    "complex-ring": density_complex_ring_limit,
-    "complex-edge": density_complex_edge_profile,
-    "real-edge": density_real_edge_profile,
-    "crossover": density_crossover_profile,
-    "origin-real": density_real_origin_limit,
-    "origin-complex": density_complex_origin_limit,
-    "count-leading": real_count_leading_order,
-}
-
-
-def limit_densities(kind: str, *args, **kwargs):
-    """Dispatch to the closed-form limit densities by name.
-
-    kinds: real-ring(x, alpha), complex-ring(z, alpha), complex-edge(xi),
-    real-edge(xi), crossover(v), origin-real(x, L), origin-complex(z, L),
-    count-leading(N, L).
-    """
-    try:
-        fn = _LIMIT_DISPATCH[kind]
-    except KeyError:
-        raise ValueError(f"unknown limit density {kind!r}") from None
-    return fn(*args, **kwargs)

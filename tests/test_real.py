@@ -2,6 +2,7 @@
 sums, densities, joint-density cross-checks, counts, limits, Monte Carlo."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special as sp
@@ -188,6 +189,59 @@ def test_kernel_antisymmetry_property(ax, ay, bx, by):
     scale = max(1.0, abs(e1.DS), abs(e1.IS))
     assert abs(e1.DS + e2.DS) < 1e-8 * scale
     assert abs(e1.IS + e2.IS) < 1e-8 * scale
+
+
+@pytest.mark.parametrize("N", [128, 1000])
+def test_kernel_entries_broadcast_equals_scalar_calls(N):
+    for L in (0.0, 0.5, 32.0):
+        params = P1(N, L)
+        r = math.sqrt(N + L)
+        # a lower-half point (folded onto its conjugate), a coincident real
+        # pair (eps = 0 off the diagonal) and the origin
+        pts = np.array([-0.7 * r, 0.0, 0.3 * r, 0.3 * r,
+                        0.5 * r - 1.4j, -0.2 * r + 0.6j, 0.8 * r + 2.5j])
+        grid = kernel_entries(pts[:, None], pts[None, :], params)
+        for i, a in enumerate(pts):
+            for j, b in enumerate(pts):
+                e = kernel_entries(a, b, params)
+                assert isinstance(e.DS, complex) and isinstance(e.eps, float)
+                for f in ("DS", "S", "IS", "eps"):
+                    want, got = getattr(e, f), getattr(grid, f)[i, j]
+                    assert abs(got - want) <= 1e-13 * abs(want), (N, L, i, j, f, got, want)
+
+
+def is_real_real_mp(x, y, N, L):
+    """IS(x, y) as the finite antiderivative sum, in 30-digit arithmetic."""
+    with mpmath.workdps(30):
+        x, y, L = mpmath.mpf(x), mpmath.mpf(y), mpmath.mpf(L)
+
+        def tau_even(j, t):
+            m = 2 * j + L
+            return -mpmath.sign(t) * 2 ** ((m - 1) / 2) * mpmath.gammainc((m + 1) / 2, 0, t * t / 2)
+
+        def tau_odd(j, t):
+            if j == 0:
+                return 2 ** (L / 2) * mpmath.gammainc(L / 2 + 1, t * t / 2)
+            return mpmath.exp(-t * t / 2) * abs(t) ** L * t ** (2 * j)
+
+        total = mpmath.fsum(
+            (tau_even(j, x) * tau_odd(j, y) - tau_odd(j, x) * tau_even(j, y))
+            / mpmath.gamma(L + 2 * j + 1) for j in range(N // 2))
+        return float(total / mpmath.sqrt(2 * mpmath.pi))
+
+
+@pytest.mark.parametrize("N, L, x, y", [
+    (128, 32.0, -3.1, 5.7),
+    (128, 0.5, 0.4, -9.2),
+    (128, 0.0, 2.3, 2.9),
+    (1000, 32.0, -12.3, 20.5),
+    (1000, 0.0, 0.0, 7.5),
+    (1000, 0.5, 30.2, 31.0),
+])
+def test_real_real_is_vs_mpmath(N, L, x, y):
+    want = is_real_real_mp(x, y, N, L)
+    got = kernel_entries(x, y, P1(N, L)).IS
+    assert abs(got - want) < 1e-12 * abs(want), (got, want)
 
 
 # ---------------------------------------------------------------------------
