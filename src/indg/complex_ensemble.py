@@ -11,16 +11,20 @@ The diagonal collapses to a difference of regularized incomplete gammas,
     rho_N(z) = (1/pi) [P(L, |z|^2) - P(L+N, |z|^2)],
 
 with P(0, .) taken identically equal to 1 so that L=0 reproduces the plain
-Ginibre partial sum.  Kernel sums run term-wise in log-magnitude/phase form;
-a naive power series overflows once N + L goes past ~150.
+Ginibre partial sum.  The kernel and its origin limit sum the series with
+special.log_exp_series; the error is absolute, relative to
+sqrt(K_N(z,z) K_N(w,w)), so entries far below that scale (Re(z w~) << 0)
+carry no guaranteed relative digits.
 
 Real L >= 0 is supported throughout; only the samplers need integer L.
 """
 
+import math
+
 import numpy as np
 from scipy import special as _sp
 
-from .special import lower_reg_gamma, upper_reg_gamma, erfc, log_gamma
+from .special import lower_reg_gamma, upper_reg_gamma, erfc, log_gamma, log_exp_series
 from .sampling import EnsembleParams
 
 __all__ = [
@@ -62,34 +66,16 @@ def kernel_KN(z, w, params):
     equals the mean density.
     """
     _require_beta2(params)
-    N, L = params.N, params.L
-    z = np.asarray(z, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    zeta, front = np.broadcast_arrays(z * np.conj(w),
-                                      -0.5 * (np.abs(z) ** 2 + np.abs(w) ** 2))
-    scalar = zeta.ndim == 0
-    zeta_f = np.atleast_1d(zeta).ravel()
-    front_f = np.atleast_1d(front).ravel().real
-    out = np.zeros(zeta_f.shape, dtype=complex)
-
-    zero = zeta_f == 0
-    if L == 0:
-        out[zero] = np.exp(front_f[zero]) / np.pi
-
-    if np.any(~zero):
-        zv = zeta_f[~zero]
-        fv = front_f[~zero]
-        orders = np.arange(N, dtype=float) + L
-        logmag = (orders[:, None] * np.log(np.abs(zv))[None, :]
-                  - log_gamma(orders + 1.0)[:, None])
-        phase = orders[:, None] * np.angle(zv)[None, :]
-        peak = logmag.max(axis=0)
-        series = np.sum(np.exp(logmag - peak[None, :] + 1j * phase), axis=0)
-        out[~zero] = series * np.exp(fv + peak) / np.pi
-
-    if scalar:
-        return complex(out[0])
-    return out.reshape(zeta.shape)
+    L = params.L
+    zeta = z * np.conj(w)
+    out = log_exp_series(zeta, params.N, L)
+    if L:
+        with np.errstate(divide="ignore"):  # zeta = 0 gives the zero it should
+            out += L * np.log(np.abs(zeta)) + 1j * L * np.angle(zeta)
+    out -= 0.5 * (np.abs(z) ** 2 + np.abs(w) ** 2)
+    np.exp(out, out=out)
+    out /= np.pi
+    return complex(out) if out.ndim == 0 else out
 
 
 def density(z, params):
@@ -159,8 +145,9 @@ def origin_kernel(z, w, L):
     """Limiting kernel near the origin in the almost-square regime (fixed L >= 1).
 
     (1/pi) e^{-(|z|^2+|w|^2)/2} sum_{j>=0} (z w~)^{j+L} / Gamma(L+j+1),
-    the pointwise large-N limit of the finite-N kernel; the series is
-    truncated once the remaining tail is below 1e-14 relative.  Equals
+    the pointwise large-N limit of the finite-N kernel, which it evaluates
+    at N = 60 terms past L+j = 2|z w~|: each later term is below half the
+    one before, so the dropped tail is below 2^-59 of the largest.  Equals
     (1/pi) gamma(L, z w~)/Gamma(L) times e^{-(|z|^2+|w|^2)/2 + z w~}; the
     Gaussian dressing is 1 on the diagonal but is required off it for the
     determinants of this kernel to reproduce the limiting correlations
@@ -169,23 +156,9 @@ def origin_kernel(z, w, L):
     """
     if L < 1:
         raise ValueError("origin regime requires fixed L >= 1")
-    zeta = complex(z) * np.conj(complex(w))
-    if zeta == 0:
-        return 0j
-    term = np.exp(L * np.log(zeta) - log_gamma(float(L) + 1.0))
-    total = term
-    j = 0
-    while True:
-        j += 1
-        term = term * zeta / (L + j)
-        total += term
-        ratio = abs(zeta) / (L + j + 1.0)
-        if ratio < 1.0 and abs(term) * ratio / (1.0 - ratio) <= 1e-14 * abs(total):
-            break
-        if j > 200000:  # pragma: no cover - series always converges
-            raise RuntimeError("origin kernel series did not converge")
-    weight = np.exp(-0.5 * (abs(complex(z)) ** 2 + abs(complex(w)) ** 2))
-    return complex(weight * total / np.pi)
+    z, w = complex(z), complex(w)
+    n = math.ceil(max(2.0 * abs(z * w.conjugate()) - L, 0.0)) + 60
+    return kernel_KN(z, w, EnsembleParams(N=n, L=L, beta=2))
 
 
 def bulk_edge_limit_kernels(points, u, regime, alpha):
@@ -215,13 +188,18 @@ def bulk_edge_limit_kernels(points, u, regime, alpha):
     else:
         raise ValueError("regime must be 'bulk' or 'edge'")
 
-    zj = pts[:, None]
-    zk = pts[None, :]
-    M = np.exp(-0.5 * np.abs(zj) ** 2 - 0.5 * np.abs(zk) ** 2 + zj * np.conj(zk)) / np.pi
+    M = _bulk_matrix(pts)
     if regime == "edge":
         # complex-argument erfc: the offsets enter through z_j u~ + z_k~ u
+        zj, zk = pts[:, None], pts[None, :]
         M = M * 0.5 * _sp.erfc((zj * np.conj(u) + np.conj(zk) * u) / np.sqrt(2.0))
     return float(np.linalg.det(M).real)
+
+
+def _bulk_matrix(pts):
+    """Bulk limit kernel matrix (1/pi) exp(-|z_j|^2/2 - |z_k|^2/2 + z_j z_k~)."""
+    zj, zk = pts[:, None], pts[None, :]
+    return np.exp(-0.5 * np.abs(zj) ** 2 - 0.5 * np.abs(zk) ** 2 + zj * np.conj(zk)) / np.pi
 
 
 def log_jpdf_complex(values, params):
@@ -267,11 +245,17 @@ def integrate_radial(f, rmax, points_per_unit=24):
     """
     if rmax <= 0:
         raise ValueError("rmax must be > 0")
-    n_panels = int(np.ceil(rmax))
-    edges = np.linspace(0.0, rmax, n_panels + 1)
-    x, w = np.polynomial.legendre.leggauss(points_per_unit)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * np.diff(edges)
-    r = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    wts = (half[:, None] * w[None, :]).ravel()
+    r, wts = _gl_panels(0.0, rmax, width=1.0, order=points_per_unit)
     return float(np.sum(wts * 2.0 * np.pi * r * np.asarray(f(r), dtype=float)))
+
+
+def _gl_panels(lo, hi, width=0.5, order=24):
+    """Gauss-Legendre nodes/weights tiled over [lo, hi] in fixed-width panels."""
+    base_x, base_w = np.polynomial.legendre.leggauss(order)
+    n = max(1, math.ceil((hi - lo) / width))
+    edges = np.linspace(lo, hi, n + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    x = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
+    w = (half[:, None] * base_w[None, :]).ravel()
+    return x, w

@@ -187,10 +187,8 @@ def ks_two_sample(a, b):
 # analytic bin expectations
 
 
-def _gauss_on(lo, hi, order=12):
-    x, w = np.polynomial.legendre.leggauss(order)
-    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    return mid + half * x, half * w
+def _gauss_on(lo, hi):
+    return cx._gl_panels(lo, hi, width=hi - lo, order=12)
 
 
 def _expected_radial_complex(edges, params, n_samples):

@@ -10,9 +10,11 @@ incomplete-gamma antiderivatives.
 
 The kernel layer is array-native: the helpers and kernel_entries broadcast
 over point arrays, the special functions are evaluated once per point (the
-IS sum once per point and sum index j), and only the s_N series and the IS
-sum run per point pair, with the sum index along a trailing axis.  A
-correlation therefore evaluates all of its point pairs in one pass.
+IS sum once per point and sum index j), and only the s_N series (the
+truncated exponential series of special.log_exp_series, shared with the
+complex ensemble) and the IS sum (sum index on a trailing axis) run per
+point pair.  A correlation therefore evaluates all of its point pairs in
+one pass.
 
 The module also provides the closed-form real/complex densities, the partial
 joint eigenvalue density, skew-orthogonal polynomial utilities with a
@@ -43,11 +45,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special as sp
 
-from .complex_ensemble import _heaviside, _reg_p
+from .complex_ensemble import _bulk_matrix, _gl_panels, _reg_p
 from .complex_ensemble import density_edge_profile as density_complex_edge_profile
+from .complex_ensemble import density_ring_limit as density_complex_ring_limit
 from .linalg import pfaffian
 from .sampling import EnsembleParams
-from .special import erfcx, log_gamma, lower_reg_gamma, upper_reg_gamma
+from .special import erfcx, log_exp_series, log_gamma, lower_reg_gamma, upper_reg_gamma
 
 __all__ = [
     "RealKernelEntries",
@@ -133,20 +136,8 @@ def _finish(val, *args):
 
 
 def _s_series(zeta, ld, N, L):
-    """(2*pi)^{-1/2} exp(ld) * sum_{j=0}^{N-2} zeta^j / Gamma(L+j+1), elementwise.
-
-    Summed term-wise in log-magnitude/phase form, scaled by the largest term,
-    so N of several hundred stays finite; the j axis is the trailing one.
-    """
-    j = np.arange(N - 1, dtype=float)
-    lg = log_gamma(L + j + 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logmag = j * np.log(np.abs(zeta))[..., None] - lg
-    logmag[..., 0] = -lg[0]  # zeta^0 = 1, also at zeta = 0
-    phase = j * np.angle(zeta)[..., None]
-    peak = logmag.max(axis=-1)
-    series = np.sum(np.exp(logmag - peak[..., None] + 1j * phase), axis=-1)
-    return series * np.exp(ld + peak - _HALF_LOG_2PI)
+    """(2*pi)^{-1/2} exp(ld) * sum_{j=0}^{N-2} zeta^j / Gamma(L+j+1), elementwise."""
+    return np.exp(ld + log_exp_series(zeta, N - 1, L) - _HALF_LOG_2PI)
 
 
 def _require_variant(variant: str):
@@ -540,18 +531,6 @@ def skew_poly_norm(j: int, L: float) -> float:
     return 2.0 * math.sqrt(2.0 * math.pi) * math.exp(log_gamma(L + 2.0 * j + 1.0))
 
 
-def _gl_panels(lo: float, hi: float, width: float = 0.5, order: int = 24):
-    """Gauss-Legendre nodes/weights tiled over [lo, hi] in fixed-width panels."""
-    base_x, base_w = np.polynomial.legendre.leggauss(order)
-    n = max(1, int(math.ceil((hi - lo) / width)))
-    edges = np.linspace(lo, hi, n + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    x = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
-    w = (half[:, None] * base_w[None, :]).ravel()
-    return x, w
-
-
 def _weighted_tail(m: float, x: float) -> float:
     """integral_x^inf exp(-y^2/2) |y|^L y^b dy for m = L + b, b the monomial degree.
 
@@ -689,12 +668,7 @@ def limit_kernels(points, u, regime: str, alpha: float) -> float:
         r = abs(uc)
         if not (math.sqrt(alpha) - 1e-12 <= r <= math.sqrt(alpha + 1.0) + 1e-12):
             raise ValueError("complex-bulk center must sit in the closed ring")
-        M = np.exp(
-            -0.5 * np.abs(pts[:, None]) ** 2
-            - 0.5 * np.abs(pts[None, :]) ** 2
-            + pts[:, None] * np.conj(pts[None, :])
-        ) / math.pi
-        return float(np.linalg.det(M).real)
+        return float(np.linalg.det(_bulk_matrix(pts)).real)
 
     if regime == "edge":
         if abs(uc.imag) > 1e-12 or abs(abs(uc.real) - 1.0) > 1e-9:
@@ -713,22 +687,9 @@ def limit_kernels(points, u, regime: str, alpha: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _ring_indicator(r, alpha: float):
-    return _heaviside(math.sqrt(alpha + 1.0) - r) - _heaviside(math.sqrt(alpha) - r)
-
-
 def density_real_ring_limit(x, alpha: float):
-    """Flat two-segment limit of the real-axis density: indicator / sqrt(2 pi)."""
-    val = _ring_indicator(np.abs(np.asarray(x, dtype=float)), alpha) / math.sqrt(
-        2.0 * math.pi
-    )
-    return float(val) if val.ndim == 0 else val
-
-
-def density_complex_ring_limit(z, alpha: float):
-    """Flat ring limit of the off-axis density: indicator / pi."""
-    val = _ring_indicator(np.abs(np.asarray(z, dtype=complex)), alpha) / math.pi
-    return float(val) if val.ndim == 0 else val
+    """Flat limit of the real-axis density: the ring indicator / sqrt(2 pi)."""
+    return math.sqrt(0.5 * math.pi) * density_complex_ring_limit(x, alpha)
 
 
 def density_real_edge_profile(xi):

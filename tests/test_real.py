@@ -315,6 +315,16 @@ def test_expected_real_counts_frozen():
         assert abs(got - want) < 5e-6 * want, (N, L, got, want)
 
 
+@pytest.mark.parametrize("N", [16, 128])
+def test_expected_real_count_edelman_kostlan_shub(N):
+    # L=0 closed form: 1/2 + sqrt(2) 2F1(1, -1/2; N; 1/2) / B(N, 1/2)
+    with mpmath.workdps(30):
+        want = float(mpmath.mpf(1) / 2 + mpmath.sqrt(2) * mpmath.hyp2f1(1, -0.5, N, 0.5)
+                     / mpmath.beta(N, 0.5))
+    got = expected_real_count(P1(N, 0.0))
+    assert abs(got - want) < 1e-12 * want, (got, want)
+
+
 def test_real_count_leading_order():
     assert np.isclose(real_count_leading_order(128, 0.0),
                       math.sqrt(2.0 / math.pi) * math.sqrt(128.0), rtol=1e-12)
@@ -437,6 +447,11 @@ def test_limit_density_values():
     assert density_crossover_profile(0.0) == 0.0
     assert abs(density_crossover_profile(40.0) - 1.0 / math.pi) < 1e-4
     assert abs(density_real_origin_limit(1.3, 0.0) - 1.0 / math.sqrt(2 * math.pi)) < 1e-15
+    # alpha = 0: the support is the full disk, so the origin lies inside it
+    assert abs(density_complex_ring_limit(0.0, 0.0) - 1.0 / math.pi) < 1e-15
+    assert abs(density_real_ring_limit(0.0, 0.0) - 1.0 / math.sqrt(2 * math.pi)) < 1e-15
+    with pytest.raises(ValueError):
+        density_real_ring_limit(0.5, -0.1)
 
 
 def test_limit_kernel_one_point_values():
