@@ -99,14 +99,9 @@ def spectrum(infile, out, rescale):
     try:
         for idx, G in enumerate(mats):
             spec = eigenvalues(G, beta=beta)
-            for x in spec.real_eigs:
-                rows.append((idx, scale * x, 0.0, 1))
-            z = spec.complex_pairs
-            for x, y in z:
-                rows.append((idx, scale * x, scale * y, 0))
-            if beta == 1:
-                for x, y in z:
-                    rows.append((idx, scale * x, -scale * y, 0))
+            n_real = len(spec.real_eigs)
+            rows.extend((idx, scale * v.real, scale * v.imag, int(k < n_real))
+                        for k, v in enumerate(spec.values()))
     except _NUMERIC_ERRORS as exc:
         _exit_numeric(exc)
     with open(out, "w", newline="") as fh:

@@ -88,12 +88,18 @@ def density(z, params):
 
 
 def correlations_Rn(points, params):
-    """n-point correlation R_n = det[K_N(z_k, z_l)] at the given points."""
+    """n-point correlation R_n = det[K_N(z_k, z_l)] at the given points.
+
+    kernel_KN carries the principal phase of (z w̄)^L, which for non-integer
+    L is no diagonal gauge once arg z − arg w wraps past ±π; the determinant
+    is taken of the kernel with that phase removed, |z w̄|^L Σ (z w̄)^j/Γ(j+L+1).
+    """
     _require_beta2(params)
     pts = np.asarray([complex(p) for p in points])
     if pts.size > params.N:
         raise ValueError("no more correlation points than eigenvalues (n <= N)")
-    K = kernel_KN(pts[:, None], pts[None, :], params)
+    z, w = pts[:, None], pts[None, :]
+    K = kernel_KN(z, w, params) * np.exp(-1j * params.L * np.angle(z * np.conj(w)))
     return float(np.linalg.det(K).real)
 
 

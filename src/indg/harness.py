@@ -3,7 +3,9 @@
 Every experiment is deterministic given (name, master_seed, n_samples): the
 work is split over sample indices, each index gets its own RNG stream spawned
 as SeedSequence(master_seed, spawn_key=(index,)), and the merge step reduces
-per-index results in index order.  The worker count (flag, else INDG_THREADS,
+per-index results in index order.  Sub-runs of one experiment use disjoint
+index ranges salt .. salt+n-1; a failing sample raises WorkerError naming its
+index and master seed.  The worker count (flag, else INDG_THREADS,
 else cpu count) therefore changes only the wall time, never the numbers; the
 canonical report payload excludes wall time so byte identity across worker
 counts can be asserted directly.
@@ -15,7 +17,8 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -29,6 +32,7 @@ __all__ = [
     "RadialHistogram",
     "ExperimentReport",
     "EXPERIMENTS",
+    "WorkerError",
     "run_mc",
     "ks_two_sample",
     "report_payload_bytes",
@@ -140,25 +144,34 @@ def resolve_workers(workers=None):
     return n
 
 
+class WorkerError(RuntimeError):
+    """One sample failed; SeedSequence(master_seed, spawn_key=(index,)) redraws it."""
+
+    def __init__(self, index, master_seed, cause):
+        super().__init__(f"worker failed at sample index {index} "
+                         f"(seed spawn ({master_seed}, ({index},))): {cause}")
+        self.index = index
+        self.master_seed = master_seed
+
+
 def _index_rng(master_seed, index):
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(index,)))
 
 
-def _map_indices(fn, n, workers, master_seed):
-    """Run fn(0..n-1), any worker count, results in index order."""
+def _guarded(fn, master_seed, index):
+    try:
+        return fn(index)
+    except Exception as exc:
+        raise WorkerError(index, master_seed, exc) from exc
 
-    def guarded(i):
-        try:
-            return fn(i)
-        except Exception as exc:
-            raise RuntimeError(
-                f"worker failed at sample index {i} "
-                f"(seed spawn ({master_seed}, ({i},))): {exc}") from exc
 
+def _map_indices(fn, n, workers, master_seed, salt=0):
+    """Run fn(salt .. salt+n-1) with any worker count; results in index order."""
+    indices = range(salt, salt + n)
     if workers <= 1:
-        return [guarded(i) for i in range(n)]
+        return [_guarded(fn, master_seed, i) for i in indices]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(guarded, range(n)))
+        return list(pool.map(partial(_guarded, fn, master_seed), indices))
 
 
 def ks_two_sample(a, b):
@@ -238,22 +251,41 @@ def _bins_within_3sigma(counts, expected):
 
 
 # --------------------------------------------------------------------------
+# per-index work: each draws from its own spawn index and returns raw results
+
+
+def _spectrum_at(params, master_seed, index):
+    """Spectrum of the quadratised draw on spawn index `index`."""
+    G = sample_induced_quadratise(params, _index_rng(master_seed, index))
+    return eigenvalues(G, beta=params.beta)
+
+
+def _sampler_pair_at(params, master_seed, index):
+    """|eigenvalues| of a polar and then a quadratised draw from one stream."""
+    rng = _index_rng(master_seed, index)
+    a = np.abs(eigenvalues(sample_induced_polar(params, rng), beta=params.beta).values())
+    b = np.abs(eigenvalues(sample_induced_quadratise(params, rng), beta=params.beta).values())
+    return a, b
+
+
+def _channel_at(geometry, master_seed, index):
+    """Quadratised spectrum and squared norm of one random map of shape (d, k)."""
+    phi = random_complementary_map(*geometry, _index_rng(master_seed, index))
+    return quadratised_spectrum(phi).values(), float(np.sum(np.abs(phi.matrix) ** 2))
+
+
+# --------------------------------------------------------------------------
 # experiments
 
 
 def _exp_radial_density(master_seed, n_samples, workers):
     params = EnsembleParams(N=128, L=32, beta=2)
     scale = 1.0 / math.sqrt(params.N + params.L)
-
-    def one(i):
-        rng = _index_rng(master_seed, i)
-        G = sample_induced_quadratise(params, rng)
-        return np.abs(eigenvalues(G, beta=2).values()) * scale
-
-    radii = _map_indices(one, n_samples, workers, master_seed)
+    spectra = _map_indices(partial(_spectrum_at, params, master_seed),
+                           n_samples, workers, master_seed)
     hist = RadialHistogram.empty(params)
-    for r in radii:
-        hist.add(r)
+    for spec in spectra:
+        hist.add(np.abs(spec.values()) * scale)
     expected = _expected_radial_complex(hist.edges, params, n_samples)
     ok = _bins_within_3sigma(hist.counts, expected)
     meta = {"N": params.N, "L": params.L, "beta": 2, "n_samples": n_samples,
@@ -267,21 +299,15 @@ def _exp_radial_density(master_seed, n_samples, workers):
     return [report], {"radial_histogram": table, "_hist": hist}
 
 
-def _real_count_run(params, master_seed, n_samples, workers, salt):
-    def one(i):
-        rng = _index_rng(master_seed, salt + i)
-        G = sample_induced_quadratise(params, rng)
-        return len(eigenvalues(G, beta=1).real_eigs)
-
-    counts = np.array(_map_indices(one, n_samples, workers, master_seed), dtype=float)
-    return float(counts.mean()), float(counts.std(ddof=1) / math.sqrt(len(counts))), counts
-
-
 def _exp_real_count(master_seed, n_samples, workers):
     reports, artifacts = [], {}
     for params, salt in ((EnsembleParams(N=128, L=32, beta=1), 0),
                          (EnsembleParams(N=128, L=0, beta=1), 10 ** 6)):
-        mean, se, counts = _real_count_run(params, master_seed, n_samples, workers, salt)
+        spectra = _map_indices(partial(_spectrum_at, params, master_seed),
+                               n_samples, workers, master_seed, salt)
+        counts = np.array([len(spec.real_eigs) for spec in spectra], dtype=float)
+        mean = float(counts.mean())
+        se = float(counts.std(ddof=1) / math.sqrt(len(counts)))
         meta = {"N": params.N, "L": params.L, "beta": 1, "n_samples": n_samples,
                 "se": se}
         quad = re1.expected_real_count(params)
@@ -299,14 +325,10 @@ def _exp_real_count(master_seed, n_samples, workers):
 def _exp_hole_prob(master_seed, n_samples, workers):
     params = EnsembleParams(N=20, L=2, beta=2)
     radii = (0.5, 1.0, 1.5)
-
-    def one(i):
-        rng = _index_rng(master_seed, i)
-        G = sample_induced_quadratise(params, rng)
-        rmin = float(np.min(np.abs(eigenvalues(G, beta=2).values())))
-        return tuple(rmin > s for s in radii)
-
-    flags = np.array(_map_indices(one, n_samples, workers, master_seed), dtype=float)
+    spectra = _map_indices(partial(_spectrum_at, params, master_seed),
+                           n_samples, workers, master_seed)
+    rmin = np.array([np.min(np.abs(spec.values())) for spec in spectra])
+    flags = (rmin[:, None] > np.array(radii)).astype(float)
     reports = []
     table = [("s", "analytic", "empirical")]
     for j, s in enumerate(radii):
@@ -325,14 +347,8 @@ def _exp_sampler_equiv(master_seed, n_samples, workers):
     artifacts = {}
     for beta, salt in ((1, 0), (2, 10 ** 6)):
         params = EnsembleParams(N=50, L=10, beta=beta)
-
-        def one(i, params=params, salt=salt):
-            rng = _index_rng(master_seed, salt + i)
-            a = np.abs(eigenvalues(sample_induced_polar(params, rng), beta=beta).values())
-            b = np.abs(eigenvalues(sample_induced_quadratise(params, rng), beta=beta).values())
-            return a, b
-
-        drawn = _map_indices(one, n_samples, workers, master_seed)
+        drawn = _map_indices(partial(_sampler_pair_at, params, master_seed),
+                             n_samples, workers, master_seed, salt)
         polar = np.sort(np.concatenate([d[0] for d in drawn]))
         quad = np.sort(np.concatenate([d[1] for d in drawn]))
         t, p = ks_two_sample(polar, quad)
@@ -348,15 +364,8 @@ def _exp_channel_ring(master_seed, n_samples, workers):
     reports, artifacts = [], {}
     for g, (d, k) in enumerate(geometries):
         r_in, r_out = predicted_ring(d, k)
-
-        def one(i, d=d, k=k, g=g):
-            rng = _index_rng(master_seed, g * 10 ** 6 + i)
-            phi = random_complementary_map(d, k, rng)
-            lam = quadratised_spectrum(phi).values()
-            trace = float(np.sum(np.abs(phi.matrix) ** 2))
-            return lam, trace
-
-        drawn = _map_indices(one, n_samples, workers, master_seed)
+        drawn = _map_indices(partial(_channel_at, (d, k), master_seed),
+                             n_samples, workers, master_seed, g * 10 ** 6)
         inside = total = 0
         rows = [("realization", "re", "im")]
         for i, (lam, _) in enumerate(drawn):
@@ -404,18 +413,13 @@ def _exp_edge_profile(master_seed, n_samples, workers):
 def _exp_real_density(master_seed, n_samples, workers):
     params = EnsembleParams(N=16, L=4, beta=1)
     scale = 1.0 / math.sqrt(params.N + params.L)
-
-    def one(i):
-        rng = _index_rng(master_seed, i)
-        spec = eigenvalues(sample_induced_quadratise(params, rng), beta=1)
-        return np.abs(spec.values()) * scale, spec.real_eigs * scale
-
-    drawn = _map_indices(one, n_samples, workers, master_seed)
+    spectra = _map_indices(partial(_spectrum_at, params, master_seed),
+                           n_samples, workers, master_seed)
     radial = RadialHistogram.empty(params)
     line = RadialHistogram.empty(params, edges=np.linspace(-1.2, 1.2, DEFAULT_BINS + 1))
-    for mods, reals in drawn:
-        radial.add(mods)
-        line.add(reals)
+    for spec in spectra:
+        radial.add(np.abs(spec.values()) * scale)
+        line.add(spec.real_eigs * scale)
     exp_radial = _expected_radial_real(radial.edges, params, n_samples)
     exp_line = _expected_line_real(line.edges, params, n_samples)
     meta = {"N": params.N, "L": params.L, "beta": 1, "n_samples": n_samples,

@@ -2,15 +2,16 @@
 real/complex classification, PSD square root, and Pfaffians of antisymmetric
 matrices.
 
-Eigenvalue classification for real matrices goes through the real Schur block
-structure (1x1 block -> real eigenvalue, standardized 2x2 block -> conjugate
-pair), never through an imaginary-part threshold.
+Both ensembles get their spectrum from one LAPACK call, np.linalg.eigvals
+(dgeev).  For a real matrix dgeev reads each eigenvalue off a block of the
+real Schur form: a 1x1 block gives imaginary part exactly 0.0, a 2x2 block an
+exact conjugate pair x +- iy with y > 0.  The real/complex split of a beta=1
+spectrum reads that structure, never an imaginary-part threshold.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 __all__ = [
     "Spectrum",
@@ -32,11 +33,11 @@ class EigenConvergenceError(RuntimeError):
 class Spectrum:
     """Eigenvalues of one sample, split into reals and conjugate-pair reps.
 
-    For beta=1 the split is structural (from the real Schur form): real_eigs
-    holds the 1x1 blocks, complex_pairs holds one (x, y) row per conjugate
-    pair x +- iy with y > 0.  For beta=2 there is no conjugate symmetry: each
-    eigenvalue is stored individually as an (x, y) row with free sign of y and
-    real_eigs stays empty.
+    For beta=1 the split is structural (dgeev's imaginary part is exactly 0.0
+    for a 1x1 real Schur block): real_eigs holds those eigenvalues, sorted,
+    complex_pairs holds one (x, y) row per conjugate pair x +- iy with y > 0.
+    For beta=2 there is no conjugate symmetry: each eigenvalue is stored
+    individually as an (x, y) row with free sign of y and real_eigs stays empty.
     """
 
     real_eigs: np.ndarray
@@ -113,10 +114,11 @@ def sample_haar_unitary(n, beta, rng):
 def eigenvalues(G, beta):
     """Spectrum of a square matrix with structural real/complex split.
 
-    beta=1 requires a real matrix and uses the real Schur form: 1x1 diagonal
-    blocks are real eigenvalues; standardized 2x2 blocks [[a, b], [c, a]] with
-    bc < 0 are the pairs a ± i sqrt(−bc).  beta=2 reports every eigenvalue
-    individually (see Spectrum).
+    One np.linalg.eigvals (dgeev) call for either beta.  beta=1 requires a
+    real matrix: eigenvalues with imaginary part exactly 0.0 are the 1x1
+    blocks of the real Schur form, those with imaginary part > 0 stand for
+    the conjugate pairs of its 2x2 blocks (dgeev returns each pair as exact
+    conjugates).  beta=2 reports every eigenvalue individually (see Spectrum).
     """
     G = np.asarray(G)
     n = G.shape[0]
@@ -124,42 +126,23 @@ def eigenvalues(G, beta):
         raise ValueError("eigenvalues needs a square matrix")
     if not np.all(np.isfinite(G.real)) or not np.all(np.isfinite(G.imag)):
         raise ValueError("matrix entries must be finite")
-
-    if beta == 2:
-        try:
-            ev = np.linalg.eigvals(G.astype(complex))
-        except np.linalg.LinAlgError as exc:
-            raise EigenConvergenceError(f"eigvals failed on {n}x{n} matrix: {exc}") from exc
-        return Spectrum(np.empty(0), np.column_stack([ev.real, ev.imag]), n, beta=2)
-
-    if beta != 1:
+    if beta not in (1, 2):
         raise ValueError(f"beta must be 1 or 2, got {beta}")
-    if np.iscomplexobj(G):
+    if beta == 1 and np.iscomplexobj(G):
         if np.max(np.abs(G.imag)) != 0.0:
             raise ValueError("beta=1 eigenvalue extraction needs a real matrix")
         G = G.real
     try:
-        T, _ = sla.schur(np.ascontiguousarray(G, dtype=float), output="real")
-    except Exception as exc:  # sla.schur raises LinAlgError on non-convergence
-        raise EigenConvergenceError(f"real Schur failed on {n}x{n} matrix: {exc}") from exc
+        ev = np.linalg.eigvals(G.astype(float if beta == 1 else complex))
+    except np.linalg.LinAlgError as exc:
+        raise EigenConvergenceError(f"eigvals failed on {n}x{n} matrix: {exc}") from exc
 
-    reals = []
-    pairs = []
-    k = 0
-    while k < n:
-        if k == n - 1 or T[k + 1, k] == 0.0:
-            reals.append(T[k, k])
-            k += 1
-        else:
-            # standardized 2x2 block: equal diagonal a, off-diagonals b*c < 0
-            x = 0.5 * (T[k, k] + T[k + 1, k + 1])
-            y = np.sqrt(np.abs(T[k + 1, k] * T[k, k + 1]))
-            pairs.append((x, y))
-            k += 2
-    reals = np.sort(np.asarray(reals, dtype=float))
-    pairs = np.asarray(pairs, dtype=float).reshape(-1, 2)
-    if len(pairs):
-        pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    if beta == 2:
+        return Spectrum(np.empty(0), np.column_stack([ev.real, ev.imag]), n, beta=2)
+    reals = np.sort(ev.real[ev.imag == 0.0])
+    pairs = ev[ev.imag > 0.0]
+    pairs = np.column_stack([pairs.real, pairs.imag])
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
     return Spectrum(reals, pairs, n, beta=1)
 
 

@@ -100,6 +100,32 @@ def test_correlations_match_jpdf():
                       math.exp(log_jpdf_complex([z], params1)), rtol=1e-12)
 
 
+def test_correlations_non_integer_L_across_the_branch_cut():
+    # arg z - arg w of the last two points wraps past +-pi; the determinant
+    # must be that of the true kernel |z w|^L sum (z conj w)^j / Gamma(j+L+1)
+    import mpmath as mp
+
+    params = P2(8, 0.5)
+    pts = [1.2, 1.1 * np.exp(2.4j), 1.3 * np.exp(-2.4j)]
+    with mp.workdps(30):
+        L = mp.mpf(params.L)
+
+        def kern(z, w):
+            z, w = mp.mpc(z), mp.mpc(w)
+            series = mp.fsum((z * mp.conj(w)) ** j / mp.gamma(j + L + 1)
+                             for j in range(params.N))
+            return (abs(z) ** L * abs(w) ** L * series
+                    * mp.exp(-(abs(z) ** 2 + abs(w) ** 2) / 2) / mp.pi)
+
+        want = float(mp.re(mp.det(mp.matrix([[kern(a, b) for b in pts] for a in pts]))))
+    assert abs(want - 0.0194540606) < 1e-10
+    assert np.isclose(correlations_Rn(pts, params), want, rtol=1e-12)
+    # R_N = N! p_N holds for the same wrapped points at N = 3
+    params3 = P2(3, 0.5)
+    assert np.isclose(correlations_Rn(pts, params3),
+                      6.0 * math.exp(log_jpdf_complex(pts, params3)), rtol=1e-12)
+
+
 def test_jpdf_normalization_n1():
     for L in (0.0, 2.0):
         params = P2(1, L)

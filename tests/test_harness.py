@@ -5,10 +5,12 @@ import os
 import numpy as np
 import pytest
 
+from indg import harness
 from indg.harness import (
     EXPERIMENTS,
     ExperimentReport,
     RadialHistogram,
+    WorkerError,
     _map_indices,
     ks_two_sample,
     report_payload_bytes,
@@ -98,6 +100,25 @@ def test_map_indices_surfaces_failing_index():
     assert _map_indices(lambda i: i * i, 5, workers=2, master_seed=17) == [0, 1, 4, 9, 16]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_worker_error_names_the_salted_stream(monkeypatch, workers):
+    # real-count's L=0 half draws from spawn indices 10**6 + i; a failure
+    # there must name the key that reproduces it, not the bare i
+    index_rng = harness._index_rng
+
+    def failing(master_seed, index):
+        if index == 10 ** 6 + 2:
+            raise FloatingPointError("injected")
+        return index_rng(master_seed, index)
+
+    monkeypatch.setattr(harness, "_index_rng", failing)
+    with pytest.raises(WorkerError, match=r"seed spawn \(19, \(1000002,\)\)") as info:
+        run_mc("real-count", 19, 4, workers=workers)
+    assert info.value.index == 10 ** 6 + 2
+    assert info.value.master_seed == 19
+    assert isinstance(info.value.__cause__, FloatingPointError)
+
+
 # ---------------------------------------------------------------- experiments
 
 def test_experiment_registry_and_validation():
@@ -119,6 +140,13 @@ def test_hole_prob_deterministic_across_workers():
     # a different seed must change the empirical side
     r_other = run_mc("hole-prob", 124, 200, workers=1)
     assert report_payload_bytes(r_other) != report_payload_bytes(r1)
+
+
+def test_real_count_deterministic_across_workers():
+    # both halves, including the salted L=0 streams
+    r1 = run_mc("real-count", 41, 12, workers=1)
+    r2 = run_mc("real-count", 41, 12, workers=2)
+    assert report_payload_bytes(r1) == report_payload_bytes(r2)
 
 
 def test_edge_profile_experiment_passes():

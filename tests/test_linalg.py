@@ -1,5 +1,8 @@
 """Pfaffian, spectra, PSD square roots, Gaussian/Haar sampling."""
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from indg.linalg import (
     sample_gaussian,
     sample_haar_unitary,
 )
+from indg.sampling import EnsembleParams, sample_induced_quadratise
 
 
 def pfaffian_expansion(A):
@@ -149,6 +153,87 @@ def test_eigenvalues_beta1_matches_eigvals():
         # real-count parity: n_real = N - 2 n_pairs
         assert (len(spec.real_eigs) - n) % 2 == 0
         assert np.isclose(spec.eig_sum(), np.trace(G), atol=1e-10)
+
+
+@pytest.mark.parametrize("N, L, draws", [(128, 0, 200), (16, 4, 300)])
+def test_eigenvalues_beta1_real_count_matches_schur_blocks(N, L, draws):
+    # reference: 1x1 blocks of scipy's real Schur form (dgees), an
+    # independent LAPACK route from the dgeev call under test
+    import scipy.linalg as sla
+
+    params = EnsembleParams(N=N, L=L, beta=1)
+    rng = np.random.default_rng(2011 + N + L)
+    for _ in range(draws):
+        G = sample_induced_quadratise(params, rng)
+        T = sla.schur(G, output="real")[0]
+        sub = np.diag(T, -1) != 0.0  # a 2x2 block starts where this is set
+        one_by_one = np.ones(N, dtype=bool)
+        one_by_one[:-1] &= ~sub
+        one_by_one[1:] &= ~sub
+        spec = eigenvalues(G, beta=1)
+        assert len(spec.real_eigs) == N - 2 * int(sub.sum())
+        scale = np.abs(np.diag(T)).max()
+        assert np.allclose(spec.real_eigs, np.sort(np.diag(T)[one_by_one]),
+                           rtol=0, atol=1e-12 * scale)
+
+
+def test_eigenvalues_beta1_structured_matrices():
+    rng = np.random.default_rng(23)
+    # triangular: every eigenvalue real, and exactly the diagonal
+    U = np.triu(rng.standard_normal((7, 7)))
+    spec = eigenvalues(U, beta=1)
+    assert np.array_equal(spec.real_eigs, np.sort(np.diag(U)))
+    assert len(spec.complex_pairs) == 0
+    # symmetric: every eigenvalue real
+    for n in (5, 40):
+        B = rng.standard_normal((n, n))
+        S = B + B.T
+        spec = eigenvalues(S, beta=1)
+        assert len(spec.real_eigs) == n
+        assert np.allclose(spec.real_eigs, np.linalg.eigvalsh(S), atol=1e-10 * n)
+    # 2x2 rotation blocks, hidden by an orthogonal change of basis: no reals
+    angles = np.array([0.3, 1.1, 2.0, 2.9])
+    R = np.zeros((8, 8))
+    for j, t in enumerate(angles):
+        R[2 * j:2 * j + 2, 2 * j:2 * j + 2] = [[np.cos(t), -np.sin(t)],
+                                               [np.sin(t), np.cos(t)]]
+    Q = sample_haar_unitary(8, 1, rng)
+    spec = eigenvalues(Q @ R @ Q.T, beta=1)
+    assert len(spec.real_eigs) == 0
+    want = np.column_stack([np.cos(angles), np.sin(angles)])
+    assert np.allclose(spec.complex_pairs, want[np.argsort(want[:, 0])], atol=1e-12)
+    # Jordan block: one defective eigenvalue, all copies real
+    J = 1.5 * np.eye(5) + np.eye(5, k=1)
+    spec = eigenvalues(J, beta=1)
+    assert np.array_equal(spec.real_eigs, np.full(5, 1.5))
+    assert len(spec.complex_pairs) == 0
+
+
+def test_eigenvalues_one_lapack_call(monkeypatch):
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    rng = np.random.default_rng(29)
+    eigenvalues(rng.standard_normal((6, 6)), beta=1)
+    eigenvalues(sample_gaussian(6, 6, 2, rng), beta=2)
+    assert calls == [(6, 6), (6, 6)]
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # the sampling path uses numpy's LAPACK only; scipy.linalg would load a
+    # second BLAS beside it
+    import indg
+
+    code = "import sys, indg, indg.cli; print('scipy.linalg' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(indg.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_eigenvalues_beta2_trace():
