@@ -2,6 +2,7 @@
 
 Exit codes: 0 success (and verify pass), 1 verify failure, 2 usage error,
 3 numeric failure (ill-conditioned quadratisation, non-convergence, ...).
+A sample of `verify` that fails with any other exception re-raises it.
 """
 
 import csv
@@ -15,12 +16,12 @@ import numpy as np
 from . import complex_ensemble as cx
 from . import real_ensemble as re1
 from .channels import predicted_ring, quadratised_spectrum, random_complementary_map
-from .harness import run_mc
+from .harness import WorkerError, run_mc
 from .linalg import EigenConvergenceError, eigenvalues
 from .sampling import EnsembleParams, QuadratisationError, sample_induced_quadratise
 
 _NUMERIC_ERRORS = (QuadratisationError, EigenConvergenceError,
-                   np.linalg.LinAlgError, FloatingPointError, RuntimeError)
+                   np.linalg.LinAlgError, FloatingPointError)
 
 
 def _exit_numeric(exc):
@@ -134,14 +135,12 @@ def density(beta, n, l, grid, out):
             rows.extend(zip(r.tolist(), np.atleast_1d(rho).tolist()))
         else:
             theta = np.linspace(0.0, np.pi, 129)[1:-1]
-            for rv in r:
-                if rv == 0.0:
-                    avg = 0.0
-                else:
-                    vals = re1.density_complex(rv * np.exp(1j * theta), params)
-                    full = np.concatenate([[0.0], vals, [0.0]])
-                    avg = float(np.trapezoid(full, dx=np.pi / 128) / np.pi)
-                rows.append((float(rv), avg, float(re1.density_real(rv, params))))
+            off = r != 0.0
+            vals = re1.density_complex(r[off, None] * np.exp(1j * theta), params)
+            avg = np.zeros_like(r)
+            avg[off] = np.trapezoid(np.pad(vals, ((0, 0), (1, 1))), dx=np.pi / 128,
+                                    axis=1) / np.pi
+            rows.extend(zip(r.tolist(), avg.tolist(), re1.density_real(r, params).tolist()))
     except _NUMERIC_ERRORS as exc:
         _exit_numeric(exc)
     with open(out, "w", newline="") as fh:
@@ -225,6 +224,10 @@ def verify(experiment, seed, samples, workers, out_dir):
         reports = run_mc(experiment, seed, samples, workers=workers, out_dir=out_dir)
     except ValueError as exc:
         raise click.UsageError(str(exc))
+    except WorkerError as exc:
+        if not isinstance(exc.__cause__, _NUMERIC_ERRORS):
+            raise
+        _exit_numeric(exc)
     except _NUMERIC_ERRORS as exc:
         _exit_numeric(exc)
     doc = {"experiment": experiment,

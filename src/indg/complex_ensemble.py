@@ -255,13 +255,21 @@ def integrate_radial(f, rmax, points_per_unit=24):
     return float(np.sum(wts * 2.0 * np.pi * r * np.asarray(f(r), dtype=float)))
 
 
+def _gl_nodes(edges, order):
+    """Gauss-Legendre rule of `order` nodes on each panel between consecutive edges.
+
+    Returns node and weight arrays of shape (panels, order); summing
+    w * f(x) along the last axis integrates f over each panel.
+    """
+    base_x, base_w = np.polynomial.legendre.leggauss(order)
+    edges = np.asarray(edges, dtype=float)
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    return mid + half * base_x, half * base_w
+
+
 def _gl_panels(lo, hi, width=0.5, order=24):
     """Gauss-Legendre nodes/weights tiled over [lo, hi] in fixed-width panels."""
-    base_x, base_w = np.polynomial.legendre.leggauss(order)
     n = max(1, math.ceil((hi - lo) / width))
-    edges = np.linspace(lo, hi, n + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    x = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
-    w = (half[:, None] * base_w[None, :]).ravel()
-    return x, w
+    x, w = _gl_nodes(np.linspace(lo, hi, n + 1), order)
+    return x.ravel(), w.ravel()

@@ -41,6 +41,7 @@ __all__ = [
 
 DEFAULT_BINS = 64
 DEFAULT_RANGE = (0.0, 1.2)  # rescaled units, |lambda| / sqrt(N+L)
+_BIN_ORDER = 12  # Gauss-Legendre nodes per histogram bin for the expectations
 
 
 @dataclass
@@ -200,49 +201,33 @@ def ks_two_sample(a, b):
 # analytic bin expectations
 
 
-def _gauss_on(lo, hi):
-    return cx._gl_panels(lo, hi, width=hi - lo, order=12)
-
-
 def _expected_radial_complex(edges, params, n_samples):
     """E[# eigenvalues per rescaled modulus bin] for the beta=2 ensemble."""
     s = math.sqrt(params.N + params.L)
-    out = np.zeros(len(edges) - 1)
-    for j in range(len(out)):
-        r, w = _gauss_on(edges[j], edges[j + 1])
-        out[j] = np.sum(w * 2.0 * np.pi * r * s * s * cx.density(s * r, params))
-    return n_samples * out
+    r, w = cx._gl_nodes(edges, _BIN_ORDER)
+    return n_samples * np.sum(w * 2.0 * np.pi * r * s * s * cx.density(s * r, params), axis=1)
 
 
 def _expected_radial_real(edges, params, n_samples):
     """E[# eigenvalues per rescaled modulus bin], beta=1, reals included."""
     s = math.sqrt(params.N + params.L)
-    out = np.zeros(len(edges) - 1)
-    tnodes, tweights = np.polynomial.legendre.leggauss(16)
-    theta = 0.5 * np.pi * (tnodes + 1.0)
-    tw = 0.5 * np.pi * tweights
-    for j in range(len(out)):
-        r, w = _gauss_on(edges[j], edges[j + 1])
-        rr = s * r
-        z = rr[:, None] * np.exp(1j * theta)[None, :]
-        dens = re1.density_complex(z, params)
-        ang = np.sum(dens * tw[None, :], axis=1)
-        # both members of each conjugate pair land in the modulus bin
-        pair_part = np.sum(w * 2.0 * rr * s * ang)
-        real_part = np.sum(w * s * (re1.density_real(rr, params)
-                                    + re1.density_real(-rr, params)))
-        out[j] = pair_part + real_part
-    return n_samples * out
+    r, w = cx._gl_nodes(edges, _BIN_ORDER)
+    theta, tw = cx._gl_nodes([0.0, np.pi], 16)
+    rr = s * r
+    dens = re1.density_complex(rr[..., None] * np.exp(1j * theta), params)
+    ang = np.sum(dens * tw, axis=-1)
+    # both members of each conjugate pair land in the modulus bin
+    pair_part = np.sum(w * 2.0 * rr * s * ang, axis=1)
+    real_part = np.sum(w * s * (re1.density_real(rr, params)
+                                + re1.density_real(-rr, params)), axis=1)
+    return n_samples * (pair_part + real_part)
 
 
 def _expected_line_real(edges, params, n_samples):
     """E[# real eigenvalues per rescaled bin] on the real axis."""
     s = math.sqrt(params.N + params.L)
-    out = np.zeros(len(edges) - 1)
-    for j in range(len(out)):
-        x, w = _gauss_on(edges[j], edges[j + 1])
-        out[j] = np.sum(w * s * re1.density_real(s * x, params))
-    return n_samples * out
+    x, w = cx._gl_nodes(edges, _BIN_ORDER)
+    return n_samples * np.sum(w * s * re1.density_real(s * x, params), axis=1)
 
 
 def _bins_within_3sigma(counts, expected):
@@ -296,7 +281,7 @@ def _exp_radial_density(master_seed, n_samples, workers):
     table = [("r_lo", "r_hi", "count", "expected")] + [
         (hist.edges[j], hist.edges[j + 1], int(hist.counts[j]), expected[j])
         for j in range(len(hist.counts))]
-    return [report], {"radial_histogram": table, "_hist": hist}
+    return [report], {"radial_histogram": table}
 
 
 def _exp_real_count(master_seed, n_samples, workers):
@@ -439,8 +424,6 @@ def _exp_real_density(master_seed, n_samples, workers):
         "real_density_axis": [("x_lo", "x_hi", "count", "expected")] + [
             (line.edges[j], line.edges[j + 1], int(line.counts[j]), exp_line[j])
             for j in range(len(line.counts))],
-        "_hist": radial,
-        "_line": line,
     }
     return reports, artifacts
 
@@ -489,8 +472,6 @@ def _write_outputs(experiment, reports, artifacts, out_dir, master_seed):
     provenance = json.dumps({"experiment": experiment, "seed": int(master_seed),
                              **reports[0].params}, sort_keys=True)
     for name, table in artifacts.items():
-        if name.startswith("_"):
-            continue
         with open(os.path.join(out_dir, f"{experiment}_{name}.csv"), "w", newline="") as fh:
             fh.write(f"# {provenance}\n")
             writer = csv.writer(fh)

@@ -14,7 +14,9 @@ IS sum once per point and sum index j), and only the s_N series (the
 truncated exponential series of special.log_exp_series, shared with the
 complex ensemble) and the IS sum (sum index on a trailing axis) run per
 point pair.  A correlation therefore evaluates all of its point pairs in
-one pass.
+one pass.  Every incomplete-gamma term on the real axis (t, r_N, the IS
+antiderivatives and the skew inner product's tail integrals) is the one
+half-line Gaussian moment of _log_half_moment.
 
 The module also provides the closed-form real/complex densities, the partial
 joint eigenvalue density, skew-orthogonal polynomial utilities with a
@@ -91,14 +93,17 @@ def _require_real_even(params: EnsembleParams):
         )
 
 
-def _log_reg_p(a, x):
-    with np.errstate(divide="ignore"):
-        return np.log(lower_reg_gamma(a, x))
+def _log_half_moment(m, x, tail):
+    """log of the half-line moment of the Gaussian weight, elementwise.
 
-
-def _log_reg_q(a, x):
+    integral of exp(-y^2/2) |y|^m over [0, |x|] (tail=False) or [|x|, inf)
+    (tail=True), which is 2^{a-1} Gamma(a) P|Q(a, x^2/2) with a = (m+1)/2.
+    -inf where the integral vanishes (x=0 with tail=False).
+    """
+    a = 0.5 * (np.asarray(m, dtype=float) + 1.0)
+    reg = upper_reg_gamma if tail else lower_reg_gamma
     with np.errstate(divide="ignore"):
-        return np.log(upper_reg_gamma(a, x))
+        return (a - 1.0) * _LOG2 + log_gamma(a) + np.log(reg(a, 0.5 * np.square(x)))
 
 
 def _log_psi(z):
@@ -155,15 +160,13 @@ def _t(x, z, L, variant):
             log_x = np.log(0.5 * sp.exp1(0.5 * x * x))
     else:
         denom = log_gamma(L) if variant == "theorem" else log_gamma(L + 1.0)
-        log_x = ((0.5 * L - 1.0) * _LOG2 + log_gamma(0.5 * L)
-                 + _log_reg_q(0.5 * L, 0.5 * x * x) - denom)
+        log_x = _log_half_moment(L - 1.0, x, tail=True) - denom
     return np.exp(log_x - _HALF_LOG_2PI + _log_dress(z, L))
 
 
 def _r(x, z, N, L):
     """r_N(x, z) elementwise, complex-valued; see helper_rN."""
-    s = 0.5 * (N + L - 1.0)
-    log_x = (0.5 * (N + L - 3.0) * _LOG2 + log_gamma(s) + _log_reg_p(s, 0.5 * x * x)
+    log_x = (_log_half_moment(N + L - 2.0, x, tail=False)
              - log_gamma(N + L - 1.0) - _HALF_LOG_2PI)
     # |z|^L z^{N-1} on the real axis: N even makes z^{N-1} carry sgn(z)
     sign = np.sign(x) * np.where(z.imag == 0.0, np.sign(z.real), 1.0)
@@ -227,9 +230,7 @@ def _tau_even_logmag(j, x, L: float):
     m = 2j+L.  Odd in x.  Broadcast over j and x; log|.| is -inf at x=0.
     """
     m = 2.0 * np.asarray(j, dtype=float) + L
-    a = 0.5 * (m + 1.0)
-    lp = _log_reg_p(a, 0.5 * np.square(x))
-    return -np.sign(x), 0.5 * (m - 1.0) * _LOG2 + log_gamma(a) + lp
+    return -np.sign(x), _log_half_moment(m, x, tail=False)
 
 
 def _tau_odd_logmag(j, x, L: float):
@@ -241,7 +242,7 @@ def _tau_odd_logmag(j, x, L: float):
     """
     j = np.asarray(j, dtype=float)
     x = np.asarray(x, dtype=float)
-    lq = 0.5 * L * _LOG2 + log_gamma(0.5 * L + 1.0) + _log_reg_q(0.5 * L + 1.0, 0.5 * x * x)
+    lq = _log_half_moment(L + 1.0, x, tail=True)
     with np.errstate(divide="ignore", invalid="ignore"):
         mono = -0.5 * x * x + (L + 2.0 * j) * np.log(np.abs(x))
     return 1.0, np.where(j == 0, lq, mono)
@@ -362,18 +363,18 @@ def density_complex(z, params: EnsembleParams):
 
     rho_C(x+iy) = sqrt(2/pi) * y * erfcx(sqrt(2) y)
                   * [P(L, x^2+y^2) - P(L+N-1, x^2+y^2)]
-    which equals the coincident kernel entry S(z, z).  Vectorized in z.
+    (the first factor is density_crossover_profile(y)), which equals the
+    coincident kernel entry S(z, z).  Vectorized in z.
     """
     _require_real_even(params)
     N, L = params.N, params.L
     z = np.asarray(z, dtype=complex)
     if np.any(z.imag <= 0.0):
         raise ValueError("density_complex needs strictly upper-half-plane points")
-    y = z.imag
-    u = z.real**2 + y**2
+    u = z.real**2 + z.imag**2
     bulk = _reg_p(L, u) - lower_reg_gamma(L + N - 1.0, u)
-    val = math.sqrt(2.0 / math.pi) * y * erfcx(math.sqrt(2.0) * y) * bulk
-    return float(val) if val.ndim == 0 else val
+    val = density_crossover_profile(z.imag) * bulk
+    return float(val) if np.ndim(val) == 0 else val
 
 
 def density_real(x, params: EnsembleParams, variant: str = "theorem"):
@@ -531,59 +532,32 @@ def skew_poly_norm(j: int, L: float) -> float:
     return 2.0 * math.sqrt(2.0 * math.pi) * math.exp(log_gamma(L + 2.0 * j + 1.0))
 
 
-def _weighted_tail(m: float, x: float) -> float:
-    """integral_x^inf exp(-y^2/2) |y|^L y^b dy for m = L + b, b the monomial degree.
-
-    Only used with integer b; the |y|^L y^b piece is passed in through m and
-    the parity of b (handled by the caller for x < 0).
-    """
-    a = 0.5 * (m + 1.0)
-    return 2.0 ** (0.5 * (m - 1.0)) * math.exp(log_gamma(a)) * float(
-        upper_reg_gamma(a, 0.5 * x * x)
-    )
-
-
 def skew_inner(f, g, L: float, *, half_width: float = 13.0, order: int = 24) -> float:
     """Numeric skew-symmetric inner product (f, g) = (f, g)_R + (f, g)_C.
 
     f and g are ascending coefficient arrays of real-coefficient polynomials.
     The real-real part integrates sgn(y-x) against the weight
-    exp(-(x^2+y^2)/2) |xy|^L with the inner integral done in closed form
-    (incomplete gammas per monomial); the complex part is a tensor quadrature
-    of 2i * e^{y^2-x^2} erfc(sqrt(2) y) (x^2+y^2)^L [f(z)g(zbar) - g(z)f(zbar)]
-    over the upper half-plane, evaluated in the stable erfcx form.
+    w(y) = exp(-y^2/2) |y|^L with the inner integral in closed form: the
+    tail integral of w(y) y^b from each node x is a half-line moment, taken
+    for all (node, monomial) pairs as one array, and the full-line moment
+    minus the mirrored tail where x < 0.  The complex part is a tensor
+    quadrature of 2i * e^{y^2-x^2} erfc(sqrt(2) y) (x^2+y^2)^L
+    [f(z)g(zbar) - g(z)f(zbar)] over the upper half-plane, evaluated in the
+    stable erfcx form.
     """
     f = np.atleast_1d(np.asarray(f, dtype=float))
     g = np.atleast_1d(np.asarray(g, dtype=float))
 
-    # total weighted moments T_b = integral over R of w(y) y^b dy
-    def moment(b: int) -> float:
-        if b % 2 == 1:
-            return 0.0
-        m = L + b
-        return 2.0 ** (0.5 * (m + 1.0)) * math.exp(log_gamma(0.5 * (m + 1.0)))
-
-    def upper_part(b: int, x: np.ndarray) -> np.ndarray:
-        """integral_x^inf w(y) y^b dy, elementwise in x."""
-        m = L + b
-        out = np.empty_like(x)
-        pos = x >= 0.0
-        out[pos] = [_weighted_tail(m, t) for t in x[pos]]
-        neg = ~pos
-        tb = moment(b)
-        mirt = np.array([_weighted_tail(m, -t) for t in x[neg]])
-        out[neg] = tb - ((-1.0) ** b) * mirt
-        return out
-
     xs, ws = _gl_panels(-half_width, half_width, order=order)
     wx = np.exp(-0.5 * xs * xs) * np.abs(xs) ** L
     fx = np.polynomial.polynomial.polyval(xs, f)
-    g_tail = np.zeros_like(xs)
-    for b, gb in enumerate(g):
-        if gb != 0.0:
-            g_tail += gb * upper_part(b, xs)
-    t_g = sum(gb * moment(b) for b, gb in enumerate(g))
-    real_part = float(np.sum(ws * wx * fx * (2.0 * g_tail - t_g)))
+    b = np.arange(g.size)
+    m, parity = L + b, (-1.0) ** b
+    # T_b = integral of w(y) y^b over the line: twice the half line, 0 for odd b
+    total = (1.0 + parity) * np.exp(_log_half_moment(m, 0.0, tail=True))
+    tail = np.exp(_log_half_moment(m, xs[:, None], tail=True))
+    upper = np.where(xs[:, None] >= 0.0, tail, total - parity * tail)
+    real_part = float(np.sum(ws * wx * fx * (2.0 * (upper @ g) - total @ g)))
 
     ys, wy = _gl_panels(1e-12, half_width, order=order)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
@@ -734,16 +708,14 @@ def density_real_origin_limit(x, L: float):
 def density_complex_origin_limit(z, L: float):
     """Fixed-L large-N off-axis density near the origin.
 
-    sqrt(2/pi) * y * erfcx(sqrt(2) y) * P(L, x^2+y^2); the L=0 case is the
-    flat near-axis crossover profile.
+    density_crossover_profile(y) * P(L, x^2+y^2); the L=0 case is the flat
+    near-axis crossover profile itself.
     """
     z = np.asarray(z, dtype=complex)
-    y = z.imag
-    if np.any(y <= 0.0):
+    if np.any(z.imag <= 0.0):
         raise ValueError("origin profile needs strictly upper-half-plane points")
-    u = z.real**2 + y**2
-    val = math.sqrt(2.0 / math.pi) * y * erfcx(math.sqrt(2.0) * y) * _reg_p(L, u)
-    return float(val) if val.ndim == 0 else val
+    val = density_crossover_profile(z.imag) * _reg_p(L, z.real**2 + z.imag**2)
+    return float(val) if np.ndim(val) == 0 else val
 
 
 def expected_real_count(params: EnsembleParams, variant: str = "theorem") -> float:

@@ -9,8 +9,10 @@ from click.testing import CliRunner
 from scipy.integrate import quad
 
 from indg import complex_ensemble as cx
+from indg import harness
 from indg import real_ensemble as re1
 from indg.channels import predicted_ring
+from indg.harness import WorkerError
 from indg.cli import _NUMERIC_ERRORS, main
 from indg.sampling import EnsembleParams, QuadratisationError
 
@@ -261,6 +263,29 @@ def test_usage_errors(runner, tmp_path):
     res = runner.invoke(main, ["sample", "--beta", "3", "--n", "4", "--l", "0",
                                "--seed", "1", "--out", str(tmp_path / "m.npz")])
     assert res.exit_code == 2
+
+
+def _failing_spectrum(exc):
+    def spectrum_at(params, master_seed, index):
+        raise exc
+    return spectrum_at
+
+
+def test_verify_numeric_sample_failure_exits_3(runner, monkeypatch):
+    monkeypatch.setattr(harness, "_spectrum_at", _failing_spectrum(QuadratisationError(1e15)))
+    res = runner.invoke(main, ["verify", "--experiment", "hole-prob",
+                               "--seed", "0", "--samples", "4", "--workers", "1"])
+    assert res.exit_code == 3
+    assert "numeric failure" in res.output and "sample index 0" in res.output
+
+
+def test_verify_programming_error_is_not_numeric(runner, monkeypatch):
+    monkeypatch.setattr(harness, "_spectrum_at", _failing_spectrum(TypeError("bad operand")))
+    res = runner.invoke(main, ["verify", "--experiment", "hole-prob",
+                               "--seed", "0", "--samples", "4", "--workers", "1"])
+    assert res.exit_code != 3
+    assert isinstance(res.exception, WorkerError)
+    assert isinstance(res.exception.__cause__, TypeError)
 
 
 def test_numeric_error_classification():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from indg import harness
+from indg import real_ensemble as re1
 from indg.harness import (
     EXPERIMENTS,
     ExperimentReport,
@@ -119,6 +120,27 @@ def test_worker_error_names_the_salted_stream(monkeypatch, workers):
     assert isinstance(info.value.__cause__, FloatingPointError)
 
 
+# ---------------------------------------------------------------- bin expectations
+
+@pytest.mark.parametrize("N,L", [(16, 4), (128, 32)])
+def test_bin_expectations_sum_to_totals(N, L):
+    # wide bins covering the whole support: the binned expectations add up
+    # to the mean real count and to N
+    reach = 1.0 + 10.0 / np.sqrt(N + L)
+    p1, p2 = EnsembleParams(N=N, L=L, beta=1), EnsembleParams(N=N, L=L, beta=2)
+    line = harness._expected_line_real(np.linspace(-reach, reach, 33), p1, 1)
+    assert abs(line.sum() - re1.expected_real_count(p1)) < 1e-7
+    radial = harness._expected_radial_complex(np.linspace(0.0, reach, 17), p2, 1)
+    assert abs(radial.sum() - N) < 1e-12
+
+
+def test_radial_real_expectation_counts_every_eigenvalue():
+    params = EnsembleParams(N=16, L=4, beta=1)
+    reach = 1.0 + 10.0 / np.sqrt(20.0)
+    radial = harness._expected_radial_real(np.linspace(0.0, reach, 17), params, 1)
+    assert abs(radial.sum() - 16.0) < 1e-6
+
+
 # ---------------------------------------------------------------- experiments
 
 def test_experiment_registry_and_validation():
@@ -201,3 +223,10 @@ def test_run_mc_writes_outputs(tmp_path):
     with open(tmp_path / "hole-prob_hole_prob.csv") as fh:
         first = fh.readline()
     assert first.startswith("#") and "seed" in first
+
+
+def test_run_mc_writes_one_csv_per_table(tmp_path):
+    run_mc("real-density", 5, 10, workers=1, out_dir=str(tmp_path))
+    assert sorted(os.listdir(tmp_path)) == [
+        "real-density_real_density_axis.csv", "real-density_real_density_radial.csv",
+        "real-density_report.json"]

@@ -11,6 +11,7 @@ from scipy.integrate import quad
 
 from indg import linalg
 from indg.real_ensemble import (
+    _log_half_moment,
     _assemble_blocks,
     _tau_even_logmag,
     _tau_odd_logmag,
@@ -429,6 +430,49 @@ def test_skew_inner_orthogonality():
         s_ab = skew_inner(skew_poly(1, L), skew_poly(2, L), L)
         s_ba = skew_inner(skew_poly(2, L), skew_poly(1, L), L)
         assert abs(s_ab + s_ba) < 1e-8 * max(1.0, abs(s_ab))
+
+
+@pytest.mark.parametrize("L", [0.5, 7.5])
+def test_skew_inner_noninteger_l(L):
+    # the tail integrals of the real part at half-integer moments
+    for j in (0, 1):
+        want = skew_poly_norm(j, L)
+        got = skew_inner(skew_poly(2 * j, L), skew_poly(2 * j + 1, L), L)
+        assert abs(got - want) < 1e-5 * want, (j, got, want)
+
+
+def _quad_half_moment(m, lo, hi, mp):
+    """integral of y^m exp(-y^2/2) over [lo, hi] by mpmath quadrature.
+
+    The integrand is divided by its largest value on the interval, so the
+    quadrature's absolute tolerance is a relative one, and the interval is
+    cut around that maximum and near both ends.
+    """
+    peak = math.sqrt(max(m, 0.0))
+    top = max(lo, min(peak, hi))
+    log_c = -0.5 * top * top + (m * math.log(top) if top > 0 else 0.0)
+    h = 1.0 / max(top, 1.0)
+    cuts = {lo, hi} | {top + d * h * 2.0**k for k in range(-3, 9) for d in (-1, 1)}
+    if hi < math.inf:
+        cuts |= {e + d * (hi - lo) * 2.0**-k for k in range(1, 9) for e, d in ((lo, 1), (hi, -1))}
+    pts = [mp.mpf(c) for c in sorted(cuts) if lo <= c <= hi]
+    return mp.exp(log_c) * mp.quad(lambda y: mp.exp(m * mp.log(y) - y * y / 2 - log_c), pts)
+
+
+@pytest.mark.parametrize("m", [-0.5, 0.0, 1.5, 31.0, 160.0])
+def test_log_half_moment_against_quadrature(m):
+    mp = mpmath.mp.clone()
+    mp.dps = 30
+    for x in (0.0, 0.5, 1.0, 3.0, 7.0, 12.5, 20.0, 30.0):
+        for tail, lo, hi in ((False, 0.0, x), (True, x, math.inf)):
+            if hi == lo:
+                assert _log_half_moment(m, x, tail) == -math.inf
+                continue
+            want = _quad_half_moment(m, lo, hi, mp)
+            got = mp.exp(mp.mpf(float(_log_half_moment(m, x, tail))))
+            assert abs(got / want - 1) < 1e-12, (x, tail)
+        # the moment is even in x
+        assert _log_half_moment(m, -x, True) == _log_half_moment(m, x, True)
 
 
 # ---------------------------------------------------------------------------
