@@ -98,7 +98,7 @@ def random_complementary_map(d, k, rng):
     gram = np.einsum("asn,asm->nm", A.conj(), A)
     defect = np.max(np.abs(gram - np.eye(d)))
     if defect > 1e-10:
-        raise RuntimeError(f"Kraus identity resolution violated (defect {defect:.2e})")
+        raise np.linalg.LinAlgError(f"Kraus identity resolution violated (defect {defect:.2e})")
     phi = np.einsum("asn,atm->stnm", A, A.conj()).reshape(k * k, d * d)
     return Superoperator(matrix=phi, spec=channel)
 

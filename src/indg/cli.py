@@ -143,6 +143,8 @@ def density(beta, n, l, grid, out):
             rows.extend(zip(r.tolist(), avg.tolist(), re1.density_real(r, params).tolist()))
     except _NUMERIC_ERRORS as exc:
         _exit_numeric(exc)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     with open(out, "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
     click.echo(f"wrote {len(rows) - 1} density rows to {out}")
@@ -173,6 +175,8 @@ def kernel(beta, n, l, points, out, variant):
         e = re1.kernel_entries(zs[:, None], zs[None, :], params, variant=variant)
     except _NUMERIC_ERRORS as exc:
         _exit_numeric(exc)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     m = len(zs)
     i, j = np.divmod(np.arange(m * m), m)
     cols = [i, j, e.DS.real, e.DS.imag, e.S.real, e.S.imag, e.IS.real, e.IS.imag, e.eps]
@@ -195,10 +199,9 @@ def holeprob(n, l, smax, steps, out):
     params = _params(2, n, l)
     if smax <= 0 or steps < 1:
         raise click.UsageError("need --smax > 0 and --steps >= 1")
-    rows = [("s", "A")]
+    s = np.linspace(0.0, smax, steps)
     try:
-        for s in np.linspace(0.0, smax, steps):
-            rows.append((float(s), cx.hole_probability(float(s), params)))
+        rows = [("s", "A")] + list(zip(s.tolist(), cx.hole_probability(s, params).tolist()))
     except _NUMERIC_ERRORS as exc:
         _exit_numeric(exc)
     if out is None:

@@ -107,12 +107,15 @@ def hole_probability(s, params):
     """Probability A(s) that the disk |z| < s holds no eigenvalue.
 
     A(s) = prod_{j=1}^{N} Q(j+L, s^2); equals 1 at s=0 and decreases to 0.
+    Broadcasts over s, with j on a trailing axis; scalar s gives a float.
     """
     _require_beta2(params)
-    if not np.isfinite(s) or s < 0:
+    s = np.asarray(s, dtype=float)
+    if not np.all(np.isfinite(s)) or np.any(s < 0):
         raise ValueError("hole radius must be a finite real >= 0")
     j = np.arange(1, params.N + 1, dtype=float)
-    return float(np.prod(upper_reg_gamma(j + params.L, s * s)))
+    val = np.prod(upper_reg_gamma(j + params.L, (s * s)[..., None]), axis=-1)
+    return val if s.ndim else float(val)
 
 
 def _heaviside(x):

@@ -74,7 +74,7 @@ class RadialHistogram:
                    N=params.N, L=params.L, beta=params.beta)
 
     def add(self, values, n_new_samples=1):
-        """Bin one sample's worth of radii (already rescaled)."""
+        """Bin the radii (already rescaled) of n_new_samples samples."""
         values = np.asarray(values, dtype=float)
         hist, _ = np.histogram(values, bins=self.edges)
         self.counts += hist
@@ -235,6 +235,12 @@ def _bins_within_3sigma(counts, expected):
     return int(np.sum(np.abs(counts - expected) <= 3.0 * sigma))
 
 
+def _bin_table(var, hist, expected):
+    """CSV rows: one (lo, hi, count, expected) row per bin of hist."""
+    return [(f"{var}_lo", f"{var}_hi", "count", "expected")] + list(
+        zip(hist.edges[:-1], hist.edges[1:], hist.counts.tolist(), expected))
+
+
 # --------------------------------------------------------------------------
 # per-index work: each draws from its own spawn index and returns raw results
 
@@ -269,8 +275,7 @@ def _exp_radial_density(master_seed, n_samples, workers):
     spectra = _map_indices(partial(_spectrum_at, params, master_seed),
                            n_samples, workers, master_seed)
     hist = RadialHistogram.empty(params)
-    for spec in spectra:
-        hist.add(np.abs(spec.values()) * scale)
+    hist.add(np.abs(np.concatenate([spec.values() for spec in spectra])) * scale, n_samples)
     expected = _expected_radial_complex(hist.edges, params, n_samples)
     ok = _bins_within_3sigma(hist.counts, expected)
     meta = {"N": params.N, "L": params.L, "beta": 2, "n_samples": n_samples,
@@ -278,10 +283,7 @@ def _exp_radial_density(master_seed, n_samples, workers):
     report = ExperimentReport.build(
         "radial-density", meta, "bins_within_3sigma", ok, len(hist.counts),
         4.0, master_seed)
-    table = [("r_lo", "r_hi", "count", "expected")] + [
-        (hist.edges[j], hist.edges[j + 1], int(hist.counts[j]), expected[j])
-        for j in range(len(hist.counts))]
-    return [report], {"radial_histogram": table}
+    return [report], {"radial_histogram": _bin_table("r", hist, expected)}
 
 
 def _exp_real_count(master_seed, n_samples, workers):
@@ -309,27 +311,24 @@ def _exp_real_count(master_seed, n_samples, workers):
 
 def _exp_hole_prob(master_seed, n_samples, workers):
     params = EnsembleParams(N=20, L=2, beta=2)
-    radii = (0.5, 1.0, 1.5)
+    radii = np.array([0.5, 1.0, 1.5])
     spectra = _map_indices(partial(_spectrum_at, params, master_seed),
                            n_samples, workers, master_seed)
     rmin = np.array([np.min(np.abs(spec.values())) for spec in spectra])
-    flags = (rmin[:, None] > np.array(radii)).astype(float)
+    fracs = (rmin[:, None] > radii).mean(axis=0)
+    table = [("s", "analytic", "empirical")] + list(
+        zip(radii.tolist(), cx.hole_probability(radii, params).tolist(), fracs.tolist()))
     reports = []
-    table = [("s", "analytic", "empirical")]
-    for j, s in enumerate(radii):
-        frac = float(flags[:, j].mean())
-        a = cx.hole_probability(s, params)
+    for s, a, frac in table[1:]:
         tol = 3.0 * math.sqrt(a * (1.0 - a) / n_samples)
         meta = {"N": params.N, "L": params.L, "beta": 2, "n_samples": n_samples, "s": s}
         reports.append(ExperimentReport.build(
             "hole-prob", meta, "empty_disk_fraction", frac, a, tol, master_seed))
-        table.append((s, a, frac))
     return reports, {"hole_prob": table}
 
 
 def _exp_sampler_equiv(master_seed, n_samples, workers):
-    reports = {}
-    artifacts = {}
+    reports = []
     for beta, salt in ((1, 0), (2, 10 ** 6)):
         params = EnsembleParams(N=50, L=10, beta=beta)
         drawn = _map_indices(partial(_sampler_pair_at, params, master_seed),
@@ -339,9 +338,9 @@ def _exp_sampler_equiv(master_seed, n_samples, workers):
         t, p = ks_two_sample(polar, quad)
         meta = {"N": params.N, "L": params.L, "beta": beta, "n_samples": n_samples,
                 "ks_statistic": t}
-        reports[beta] = ExperimentReport.build(
-            "sampler-equiv", meta, "ks_p_bound", p, 1.0, 0.999, master_seed)
-    return [reports[1], reports[2]], artifacts
+        reports.append(ExperimentReport.build(
+            "sampler-equiv", meta, "ks_p_bound", p, 1.0, 0.999, master_seed))
+    return reports, {}
 
 
 def _exp_channel_ring(master_seed, n_samples, workers):
@@ -379,16 +378,14 @@ def _exp_edge_profile(master_seed, n_samples, workers):
     params = EnsembleParams(N=1000, L=500, beta=2)
     r_out = math.sqrt(params.N + params.L)
     r_in = math.sqrt(params.L)
-    xis = (-1.0, -0.5, 0.0, 0.5, 1.0)
-    rows = [("xi", "profile", "density_outer", "density_inner")]
-    dev = 0.0
-    for xi in xis:
-        want = cx.density_edge_profile(xi)
-        outer = cx.density(r_out + xi, params)
-        inner = cx.density(r_in - xi, params)
-        dev = max(dev, abs(outer - want), abs(inner - want))
-        rows.append((xi, want, outer, inner))
-    meta = {"N": params.N, "L": params.L, "beta": 2, "xi_grid": list(xis)}
+    xis = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+    want = cx.density_edge_profile(xis)
+    outer = cx.density(r_out + xis, params)
+    inner = cx.density(r_in - xis, params)
+    dev = np.max(np.abs([outer - want, inner - want]))
+    rows = [("xi", "profile", "density_outer", "density_inner")] + list(
+        zip(xis.tolist(), want.tolist(), outer.tolist(), inner.tolist()))
+    meta = {"N": params.N, "L": params.L, "beta": 2, "xi_grid": xis.tolist()}
     report = ExperimentReport.build(
         "edge-profile", meta, "max_profile_deviation", dev, 0.0, 0.01 / math.pi,
         master_seed)
@@ -402,9 +399,8 @@ def _exp_real_density(master_seed, n_samples, workers):
                            n_samples, workers, master_seed)
     radial = RadialHistogram.empty(params)
     line = RadialHistogram.empty(params, edges=np.linspace(-1.2, 1.2, DEFAULT_BINS + 1))
-    for spec in spectra:
-        radial.add(np.abs(spec.values()) * scale)
-        line.add(spec.real_eigs * scale)
+    radial.add(np.abs(np.concatenate([spec.values() for spec in spectra])) * scale, n_samples)
+    line.add(np.concatenate([spec.real_eigs for spec in spectra]) * scale, n_samples)
     exp_radial = _expected_radial_real(radial.edges, params, n_samples)
     exp_line = _expected_line_real(line.edges, params, n_samples)
     meta = {"N": params.N, "L": params.L, "beta": 1, "n_samples": n_samples,
@@ -417,14 +413,8 @@ def _exp_real_density(master_seed, n_samples, workers):
                                _bins_within_3sigma(line.counts, exp_line),
                                len(line.counts), 4.0, master_seed),
     ]
-    artifacts = {
-        "real_density_radial": [("r_lo", "r_hi", "count", "expected")] + [
-            (radial.edges[j], radial.edges[j + 1], int(radial.counts[j]), exp_radial[j])
-            for j in range(len(radial.counts))],
-        "real_density_axis": [("x_lo", "x_hi", "count", "expected")] + [
-            (line.edges[j], line.edges[j + 1], int(line.counts[j]), exp_line[j])
-            for j in range(len(line.counts))],
-    }
+    artifacts = {"real_density_radial": _bin_table("r", radial, exp_radial),
+                 "real_density_axis": _bin_table("x", line, exp_line)}
     return reports, artifacts
 
 

@@ -150,6 +150,13 @@ def _require_variant(variant: str):
         raise ValueError(f"unknown t variant {variant!r}")
 
 
+def _require_finite_t(L, variant, *points):
+    """Reject the appendix t at L=0 on a real argument 0, where E1(x^2/2) diverges."""
+    if variant == "appendix" and L == 0 and any(np.any(p == 0) for p in points):
+        raise ValueError("variant 'appendix' at L=0 diverges at a real argument 0: "
+                         "its t term is E1(x^2/2)/2, log-divergent at x=0")
+
+
 def _t(x, z, L, variant):
     """t(x, z) elementwise, complex-valued; see helper_t."""
     _require_variant(variant)
@@ -195,10 +202,12 @@ def helper_t(x, z, params: EnsembleParams, variant: str = "theorem"):
     dressing D at the second.  variant="appendix" swaps the denominator for
     Gamma(L+1); see the module docstring for why "theorem" is the default.
     At L=0 the default variant vanishes identically (the 1/Gamma(L) limit),
-    while "appendix" degenerates to the exponential-integral form.
+    while "appendix" degenerates to the exponential-integral form
+    E1(x^2/2)/2, which diverges at x=0: that point raises ValueError.
     Broadcast over array arguments; real-valued when z is real.
     """
     _require_real_even(params)
+    _require_finite_t(params.L, variant, np.asarray(x))
     val = _t(np.asarray(x, dtype=float), np.asarray(z, dtype=complex), params.L, variant)
     return _finish(val, z)
 
@@ -331,6 +340,7 @@ def _kernel_arrays(a, b, params: EnsembleParams, variant: str = "theorem") -> Re
     _require_variant(variant)
     N, L = params.N, params.L
     a, b = _upper(a), _upper(b)
+    _require_finite_t(L, variant, a, b)
     a_real, b_real = a.imag == 0.0, b.imag == 0.0
     lda, ldb = _log_dress(a, L), _log_dress(b, L)
     s = _s_series(a * b, lda + ldb, N, L)
@@ -348,7 +358,9 @@ def kernel_entries(a, b, params: EnsembleParams, variant: str = "theorem") -> Re
     folded onto its upper-half-plane conjugate representative.  DS and IS
     are antisymmetric under (a, b) swap; for two real arguments all entries
     are real-valued.  Array arguments broadcast against each other and give
-    arrays of entries; scalar arguments give Python scalars.
+    arrays of entries; scalar arguments give Python scalars.  With
+    variant="appendix" at L=0 an argument exactly 0 raises ValueError: the
+    t term there is E1(x^2/2)/2, which diverges at x=0 (see helper_t).
     """
     return _scalar_if(_kernel_arrays(a, b, params, variant), a, b)
 
@@ -418,7 +430,7 @@ def _pfaffian_of_blocks(A):
     scale = max(1.0, float(np.abs(A).max()))
     asym = float(np.abs(A + A.T).max())
     if asym > 1e-8 * scale:
-        raise RuntimeError(
+        raise np.linalg.LinAlgError(
             f"kernel block matrix lost antisymmetry (residual {asym:.3e}, scale {scale:.3e})"
         )
     A = 0.5 * (A - A.T)
@@ -582,12 +594,8 @@ def skew_inner(f, g, L: float, *, half_width: float = 13.0, order: int = 24) -> 
 
 
 def _limit_g(a, b):
-    """Limit of s_N at unit local scale: Gaussian times half-plane dressings."""
-    out = -0.5 * (a - b) * (a - b) - _HALF_LOG_2PI
-    for p in (a, b):
-        y = np.abs(p.imag)
-        out = out + 0.5 * (np.log(erfcx(math.sqrt(2.0) * y)) - 2.0 * y * y)
-    return np.exp(out)
+    """Limit of s_N at unit local scale: e^{ab} times the finite-N dressings."""
+    return np.exp(a * b + _log_dress(a, 0) + _log_dress(b, 0) - _HALF_LOG_2PI)
 
 
 def limit_kernel_entries(a, b, u: float | None = None) -> RealKernelEntries:

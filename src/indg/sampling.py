@@ -26,11 +26,12 @@ __all__ = [
     "log_normalization",
 ]
 
-_COND_LIMIT = 1e12     # beyond this the top block is treated as singular
+_COND_LIMIT = 1e12     # beyond this cond(Q₁), the top block is treated as singular
+_MAX_RETRIES = 3       # draws per quadratised sample before giving up
 
 
 class QuadratisationError(ValueError):
-    """Top block of the input is too ill-conditioned to quadratise."""
+    """Top block too ill-conditioned: cond(Q₁) = σ_max/σ_min, from the polar SVD, past 1e12."""
 
     def __init__(self, cond):
         self.cond = cond
@@ -69,9 +70,9 @@ class EnsembleParams:
 
 
 def _polar_unitary(S):
-    """Unitary factor of the polar decomposition S = (SS†)^{1/2} · U."""
-    u, _, vh = np.linalg.svd(S)
-    return u @ vh
+    """Unitary factor of the polar decomposition S = (SS†)^{1/2} · U, and σ(S)."""
+    u, sv, vh = np.linalg.svd(S)
+    return u @ vh, sv
 
 
 def quadratise(X):
@@ -88,6 +89,9 @@ def quadratise(X):
     identities hold to machine precision at any allowed conditioning — the
     explicit inverse-based orders lose the small singular directions once
     cond(Y) grows past ~1e6.
+    QuadratisationError is raised when cond(Q₁) = σ_max/σ_min, read off the
+    polar SVD, exceeds 1e12: Y = Q₁R with R invertible, so Y is singular
+    exactly when Q₁ is, whatever the scaling of X's columns.
     """
     X = np.asarray(X)
     if X.ndim != 2:
@@ -95,23 +99,21 @@ def quadratise(X):
     M, N = X.shape
     if M <= N:
         raise ValueError(f"quadratise needs a standing matrix (rows > cols), got {M}x{N}")
-    cond = np.linalg.cond(X[:N, :])
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise QuadratisationError(cond)
+    if not np.all(np.isfinite(X)):
+        raise ValueError("quadratise needs finite matrix entries")
 
     Q, RR = np.linalg.qr(X, mode="complete")
     R = RR[:N, :]
     # first block column: Q̃·(polar factor of Q₁)†, whose top block is PSD
-    O1 = _polar_unitary(Q[:N, :N])
+    O1, sv = _polar_unitary(Q[:N, :N])
+    if sv[-1] * _COND_LIMIT < sv[0]:
+        raise QuadratisationError(sv[0] / sv[-1] if sv[-1] else np.inf)
     G = O1 @ R
     W1 = Q[:, :N] @ O1.conj().T
     # orthogonal complement, rotated so its bottom block is PSD
     Qp = Q[:, N:]
-    W2 = Qp @ _polar_unitary(Qp[N:, :]).conj().T
-    W = np.hstack([W1, W2])
-    if not np.iscomplexobj(X):
-        G, W = G.real, W.real
-    return G, W
+    W2 = Qp @ _polar_unitary(Qp[N:, :])[0].conj().T
+    return G, np.hstack([W1, W2])
 
 
 def sample_induced_polar(params: EnsembleParams, rng):
@@ -122,18 +124,18 @@ def sample_induced_polar(params: EnsembleParams, rng):
     return U @ psd_sqrt(X.conj().T @ X)
 
 
-def sample_induced_quadratise(params: EnsembleParams, rng, max_retries=3):
+def sample_induced_quadratise(params: EnsembleParams, rng):
     """Draw one matrix by quadratising an (N+L) x N Gaussian.
 
     L=0 needs no reduction (the Gaussian is already square).  An
     ill-conditioned top block — a probability-zero event — is retried with a
-    fresh draw a bounded number of times.
+    fresh draw, _MAX_RETRIES draws in all.
     """
     L = params.require_integer_L()
     if L == 0:
         return sample_gaussian(params.N, params.N, params.beta, rng)
     last = None
-    for _ in range(max_retries):
+    for _ in range(_MAX_RETRIES):
         X = sample_gaussian(params.N + L, params.N, params.beta, rng)
         try:
             return quadratise(X)[0]

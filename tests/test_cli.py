@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 from scipy.integrate import quad
 
+from indg import channels
 from indg import complex_ensemble as cx
 from indg import harness
 from indg import real_ensemble as re1
@@ -297,3 +298,39 @@ def test_numeric_error_classification():
     with pytest.raises(SystemExit) as exc_info:
         _exit_numeric(QuadratisationError(1e15))
     assert exc_info.value.code == 3
+
+
+@pytest.mark.parametrize("args, message", [
+    (["density", "--beta", "1", "--n", "8", "--l", "2", "--grid=-1:1:5"],
+     "needs strictly upper-half-plane points"),
+    (["density", "--beta", "1", "--n", "7", "--l", "2", "--grid", "0:1:5"],
+     "restricted to even matrix dimension"),
+    (["kernel", "--beta", "1", "--n", "7", "--l", "2"],
+     "restricted to even matrix dimension"),
+    (["kernel", "--beta", "1", "--n", "8", "--l", "0", "--variant", "appendix"],
+     "diverges at a real argument 0"),
+])
+def test_library_value_errors_are_usage_errors(runner, tmp_path, args, message):
+    if args[0] == "kernel":
+        pts = tmp_path / "pts.csv"
+        pts.write_text("0.0,0.0\n0.5,0.7\n")
+        args = args + ["--points", str(pts)]
+    res = runner.invoke(main, args + ["--out", str(tmp_path / "o.csv")])
+    assert res.exit_code == 2, res.output
+    assert message in res.output
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_channel_kraus_defect_exits_3(runner, tmp_path, monkeypatch):
+    kraus = channels.complementary_kraus
+
+    def scaled_kraus(channel):
+        A = kraus(channel).copy()
+        A[0] *= 1.01
+        return A
+
+    monkeypatch.setattr(channels, "complementary_kraus", scaled_kraus)
+    res = runner.invoke(main, ["channel", "--d", "4", "--k", "5", "--realizations", "1",
+                               "--seed", "3", "--out", str(tmp_path / "c.json")])
+    assert res.exit_code == 3, res.output
+    assert "Kraus identity resolution violated" in res.output

@@ -297,3 +297,19 @@ def test_density_requires_beta2():
         density(1.0, EnsembleParams(N=4, L=0.0, beta=1))
     with pytest.raises(ValueError):
         hole_probability(1.0, EnsembleParams(N=4, L=0.0, beta=1))
+
+
+@pytest.mark.parametrize("N, L", [(20, 2.0), (1000, 32.0), (128, 0.5)])
+def test_hole_probability_broadcasts_over_radii(N, L):
+    # one code path for scalar and array callers: the array call equals the
+    # scalar calls bit for bit, and a scalar still returns a Python float
+    params = EnsembleParams(N=N, L=L, beta=2)
+    s = np.linspace(0.0, 1.3 * math.sqrt(N + L), 44)
+    scalar = np.array([hole_probability(float(t), params) for t in s])
+    assert np.array_equal(hole_probability(s, params), scalar)
+    assert np.array_equal(hole_probability(s.reshape(4, 11), params), scalar.reshape(4, 11))
+    assert type(hole_probability(1.0, params)) is float
+    with pytest.raises(ValueError):
+        hole_probability(np.array([0.5, -0.1]), params)
+    with pytest.raises(ValueError):
+        hole_probability(np.array([0.5, np.nan]), params)

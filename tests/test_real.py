@@ -13,6 +13,7 @@ from indg import linalg
 from indg.real_ensemble import (
     _log_half_moment,
     _assemble_blocks,
+    _pfaffian_of_blocks,
     _tau_even_logmag,
     _tau_odd_logmag,
     correlations_pfaffian,
@@ -26,6 +27,7 @@ from indg.real_ensemble import (
     density_real_origin_limit,
     density_real_ring_limit,
     expected_real_count,
+    helper_t,
     kernel_entries,
     limit_kernel_entries,
     limit_kernels,
@@ -682,3 +684,45 @@ def test_mc_real_axis_histogram():
         expect *= n_samples
         sd = math.sqrt(max(expect, 1.0))
         assert abs(counts[i] - expect) < 4.5 * sd, (i, counts[i], expect)
+
+
+def test_appendix_variant_rejects_a_zero_argument_at_l0():
+    # at L=0 the appendix t term is E1(x^2/2)/2, log-divergent at x=0
+    params = P1(8, 0.0)
+    z = 0.5 + 0.7j
+    for a, b in ((0.0, z), (z, 0.0), (0.0, 0.0)):
+        with pytest.raises(ValueError, match="diverges"):
+            kernel_entries(a, b, params, variant="appendix")
+    with pytest.raises(ValueError, match="diverges"):
+        kernel_entries(np.array([0.3, 0.0]), z, params, variant="appendix")
+    with pytest.raises(ValueError, match="diverges"):
+        helper_t(0.0, z, params, variant="appendix")
+    with pytest.raises(ValueError, match="diverges"):
+        density_real(np.array([-1.0, 0.0, 1.0]), params, variant="appendix")
+    # away from 0, or for L > 0, the appendix variant stays finite
+    e = kernel_entries(0.3, z, params, variant="appendix")
+    assert all(np.isfinite(v) for v in (e.DS, e.S, e.IS))
+    e = kernel_entries(0.0, z, P1(8, 2.0), variant="appendix")
+    assert all(np.isfinite(v) for v in (e.DS, e.S, e.IS))
+    # the theorem variant keeps its finite values at the same points
+    want = {
+        (0.0, z): (0.12829609828307423 + 0.08787511605974466j,
+                   0.08787511605974466 + 0.12829609828307423j,
+                   0.06198609563281031 - 0.16981166268021403j),
+        (z, 0.0): (-0.12829609828307423 - 0.08787511605974466j,
+                   0.16981166268021403 - 0.06198609563281031j,
+                   -0.06198609563281031 + 0.16981166268021403j),
+        (0.0, 0.0): (0.0, 0.3989422804014327, 0.0),
+    }
+    for (a, b), (ds, s, is_) in want.items():
+        e = kernel_entries(a, b, params)
+        assert np.allclose([e.DS, e.S, e.IS], [ds, s, is_], rtol=1e-13, atol=1e-16)
+
+
+def test_pfaffian_of_blocks_raises_a_linalg_error_on_lost_antisymmetry():
+    A = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
+    assert _pfaffian_of_blocks(A) == 1.0
+    A[1, 0] = -0.5
+    with pytest.raises(np.linalg.LinAlgError, match="antisymmetry"):
+        _pfaffian_of_blocks(A)
+

@@ -238,3 +238,61 @@ def test_log_density_singular_matrix():
         log_density(np.zeros((3, 3)), params)
     with pytest.raises(ValueError):
         log_density(np.full((2, 2), np.nan), params)
+
+
+def test_quadratise_takes_no_separate_condition_number(monkeypatch):
+    # the guard reads cond(Q₁) off the polar SVD; np.linalg.cond is never called
+    def no_cond(*args, **kwargs):
+        raise AssertionError("np.linalg.cond called")
+
+    monkeypatch.setattr(np.linalg, "cond", no_cond)
+    X = np.random.default_rng(41).standard_normal((9, 5))
+    G, W = quadratise(X)
+    assert np.allclose(W.T @ W, np.eye(9), atol=1e-12)
+    stacked = W.T @ X
+    assert np.allclose(stacked[:5], G, atol=1e-12)
+    assert np.allclose(stacked[5:], 0.0, atol=1e-12)
+    assert np.allclose(G.T @ G, X.T @ X, atol=1e-12)
+
+
+def test_quadratise_guard_ignores_column_scaling():
+    # a tiny column makes cond(Y) ~1e13, but range(X) meets the top block at
+    # well-separated angles: the reduction is exact and must be accepted
+    X = np.random.default_rng(29).standard_normal((6, 3)) @ np.diag([1.0, 1.0, 1e-13])
+    G, W = quadratise(X)
+    assert np.allclose(W.T @ W, np.eye(6), rtol=0.0, atol=1e-12)
+    stacked = W.T @ X
+    assert np.allclose(stacked[:3], G, rtol=0.0, atol=1e-12)
+    assert np.allclose(stacked[3:], 0.0, rtol=0.0, atol=1e-12)
+    assert np.allclose(G.T @ G, X.T @ X, rtol=0.0, atol=1e-12)
+
+
+def test_quadratise_rejects_singular_and_non_finite_input():
+    # exactly singular top block: range(X) contains a bottom-block direction
+    X = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(QuadratisationError):
+        quadratise(X)
+    for bad in (np.nan, np.inf):
+        X = np.random.default_rng(3).standard_normal((5, 3)) + 0j
+        X[1, 2] = bad
+        with pytest.raises(ValueError, match="finite") as exc_info:
+            quadratise(X)
+        assert not isinstance(exc_info.value, QuadratisationError)
+
+
+def test_sampler_retries_a_bounded_number_of_fresh_draws(monkeypatch):
+    import inspect
+    from indg import sampling
+
+    assert "max_retries" not in inspect.signature(sample_induced_quadratise).parameters
+    calls = []
+
+    def always_singular(X):
+        calls.append(X)
+        raise QuadratisationError(1e15)
+
+    monkeypatch.setattr(sampling, "quadratise", always_singular)
+    with pytest.raises(QuadratisationError):
+        sample_induced_quadratise(EnsembleParams(N=4, L=2, beta=2), np.random.default_rng(5))
+    assert len(calls) == sampling._MAX_RETRIES == 3
+    assert not np.array_equal(calls[0], calls[1])  # each retry is a fresh draw
