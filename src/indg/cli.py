@@ -2,7 +2,10 @@
 
 Exit codes: 0 success (and verify pass), 1 verify failure, 2 usage error,
 3 numeric failure (ill-conditioned quadratisation, non-convergence, ...).
-A sample of `verify` that fails with any other exception re-raises it.
+One handler on the command group applies this policy to every command: a
+numeric failure exits 3, and any other input the library rejects with a
+ValueError is a usage error (exit 2, the library's message printed).  A
+sample of `verify` that fails with any other exception re-raises it.
 """
 
 import csv
@@ -29,13 +32,6 @@ def _exit_numeric(exc):
     sys.exit(3)
 
 
-def _params(beta, n, l):
-    try:
-        return EnsembleParams(N=n, L=l, beta=beta)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-
-
 def _parse_grid(spec):
     """Parse start:stop:count into an inclusive linspace."""
     parts = spec.split(":")
@@ -50,7 +46,24 @@ def _parse_grid(spec):
     return np.linspace(start, stop, count)
 
 
-@click.group()
+class _Group(click.Group):
+    """Maps library failures of any command to exit codes 3 and 2."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except WorkerError as exc:
+            if not isinstance(exc.__cause__, _NUMERIC_ERRORS):
+                raise
+            _exit_numeric(exc)
+        # before ValueError: QuadratisationError is one
+        except _NUMERIC_ERRORS as exc:
+            _exit_numeric(exc)
+        except ValueError as exc:
+            raise click.UsageError(str(exc))
+
+
+@click.group(cls=_Group)
 def main():
     """Induced non-Hermitian ensembles: samplers, exact spectral laws, experiments."""
 
@@ -65,14 +78,11 @@ def main():
               help="npz archive: matrices stacked [count, N, N] plus metadata")
 def sample(beta, n, l, count, seed, out):
     """Draw matrices by quadratising (N+L) x N Gaussians."""
-    params = _params(int(beta), n, l)
+    params = EnsembleParams(N=n, L=l, beta=int(beta))
     if count < 1:
         raise click.UsageError("--count must be >= 1")
     rng = np.random.default_rng(seed)
-    try:
-        mats = np.stack([sample_induced_quadratise(params, rng) for _ in range(count)])
-    except _NUMERIC_ERRORS as exc:
-        _exit_numeric(exc)
+    mats = np.stack([sample_induced_quadratise(params, rng) for _ in range(count)])
     np.savez(out, matrices=mats,
              N=params.N, L=params.L, beta=params.beta, seed=seed)
     click.echo(f"wrote {count} matrices ({params.N}x{params.N}, beta={params.beta}) to {out}")
@@ -97,14 +107,11 @@ def spectrum(infile, out, rescale):
         raise click.UsageError(f"{infile} is not a sample archive: {exc}")
     scale = 1.0 / math.sqrt(n_dim + l_idx) if rescale else 1.0
     rows = []
-    try:
-        for idx, G in enumerate(mats):
-            spec = eigenvalues(G, beta=beta)
-            n_real = len(spec.real_eigs)
-            rows.extend((idx, scale * v.real, scale * v.imag, int(k < n_real))
-                        for k, v in enumerate(spec.values()))
-    except _NUMERIC_ERRORS as exc:
-        _exit_numeric(exc)
+    for idx, G in enumerate(mats):
+        spec = eigenvalues(G, beta=beta)
+        n_real = len(spec.real_eigs)
+        rows.extend((idx, scale * v.real, scale * v.imag, int(k < n_real))
+                    for k, v in enumerate(spec.values()))
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("sample_idx", "re", "im", "is_real"))
@@ -123,28 +130,19 @@ def density(beta, n, l, grid, out):
 
     beta=2: columns r, rho with rho the density at |z| = r.  beta=1: adds
     rho_real (real-axis density at x = r); rho is then the azimuthal average
-    of the complex-pair density, so 2 pi r rho integrates to the expected
+    of the complex-pair density over the upper half circle (16-node
+    Gauss-Legendre in the angle), so 2 pi r rho integrates to the expected
     number of complex eigenvalues.
     """
-    params = _params(int(beta), n, l)
+    params = EnsembleParams(N=n, L=l, beta=int(beta))
     r = _parse_grid(grid)
     rows = [("r", "rho", "rho_real")] if params.beta == 1 else [("r", "rho")]
-    try:
-        if params.beta == 2:
-            rho = cx.density(r, params)
-            rows.extend(zip(r.tolist(), np.atleast_1d(rho).tolist()))
-        else:
-            theta = np.linspace(0.0, np.pi, 129)[1:-1]
-            off = r != 0.0
-            vals = re1.density_complex(r[off, None] * np.exp(1j * theta), params)
-            avg = np.zeros_like(r)
-            avg[off] = np.trapezoid(np.pad(vals, ((0, 0), (1, 1))), dx=np.pi / 128,
-                                    axis=1) / np.pi
-            rows.extend(zip(r.tolist(), avg.tolist(), re1.density_real(r, params).tolist()))
-    except _NUMERIC_ERRORS as exc:
-        _exit_numeric(exc)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    if params.beta == 2:
+        rho = cx.density(r, params)
+        rows.extend(zip(r.tolist(), np.atleast_1d(rho).tolist()))
+    else:
+        avg = re1.density_complex_azimuthal(r, params) / np.pi
+        rows.extend(zip(r.tolist(), avg.tolist(), re1.density_real(r, params).tolist()))
     with open(out, "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
     click.echo(f"wrote {len(rows) - 1} density rows to {out}")
@@ -163,7 +161,7 @@ def density(beta, n, l, grid, out):
               help="normalization variant of the finite-rank correction term")
 def kernel(beta, n, l, points, out, variant):
     """Matrix-kernel entries DS, S, IS (+ ordering term) for every point pair."""
-    params = _params(int(beta), n, l)
+    params = EnsembleParams(N=n, L=l, beta=int(beta))
     try:
         pts_arr = np.loadtxt(points, delimiter=",", comments="#", ndmin=2)
     except ValueError as exc:
@@ -171,12 +169,7 @@ def kernel(beta, n, l, points, out, variant):
     if pts_arr.shape[1] != 2:
         raise click.UsageError("--points file needs exactly two columns: re, im")
     zs = pts_arr[:, 0] + 1j * pts_arr[:, 1]
-    try:
-        e = re1.kernel_entries(zs[:, None], zs[None, :], params, variant=variant)
-    except _NUMERIC_ERRORS as exc:
-        _exit_numeric(exc)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    e = re1.kernel_entries(zs[:, None], zs[None, :], params, variant=variant)
     m = len(zs)
     i, j = np.divmod(np.arange(m * m), m)
     cols = [i, j, e.DS.real, e.DS.imag, e.S.real, e.S.imag, e.IS.real, e.IS.imag, e.eps]
@@ -196,14 +189,11 @@ def kernel(beta, n, l, points, out, variant):
               help="CSV destination (default: stdout)")
 def holeprob(n, l, smax, steps, out):
     """Hole probability A(s) of the complex ensemble on s = 0 .. smax."""
-    params = _params(2, n, l)
+    params = EnsembleParams(N=n, L=l, beta=2)
     if smax <= 0 or steps < 1:
         raise click.UsageError("need --smax > 0 and --steps >= 1")
     s = np.linspace(0.0, smax, steps)
-    try:
-        rows = [("s", "A")] + list(zip(s.tolist(), cx.hole_probability(s, params).tolist()))
-    except _NUMERIC_ERRORS as exc:
-        _exit_numeric(exc)
+    rows = [("s", "A")] + list(zip(s.tolist(), cx.hole_probability(s, params).tolist()))
     if out is None:
         for row in rows:
             click.echo(",".join(str(v) for v in row))
@@ -223,16 +213,7 @@ def holeprob(n, l, smax, steps, out):
               help="directory for the JSON report and histogram CSVs")
 def verify(experiment, seed, samples, workers, out_dir):
     """Run a named Monte Carlo experiment; exit 0 iff every check passes."""
-    try:
-        reports = run_mc(experiment, seed, samples, workers=workers, out_dir=out_dir)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    except WorkerError as exc:
-        if not isinstance(exc.__cause__, _NUMERIC_ERRORS):
-            raise
-        _exit_numeric(exc)
-    except _NUMERIC_ERRORS as exc:
-        _exit_numeric(exc)
+    reports = run_mc(experiment, seed, samples, workers=workers, out_dir=out_dir)
     doc = {"experiment": experiment,
            "passed": all(r.passed for r in reports),
            "reports": [r.to_dict() for r in reports]}
@@ -250,22 +231,16 @@ def channel(d, k, realizations, seed, out):
     """Quadratised spectra of random complementary maps, with predicted radii."""
     if realizations < 1:
         raise click.UsageError("--realizations must be >= 1")
-    try:
-        r_in, r_out = predicted_ring(d, k)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    r_in, r_out = predicted_ring(d, k)
     rng = np.random.default_rng(seed)
     runs = []
-    try:
-        for _ in range(realizations):
-            phi = random_complementary_map(d, k, rng)
-            lam = quadratised_spectrum(phi).values()
-            runs.append({
-                "trace_norm": float(np.sum(np.abs(phi.matrix) ** 2)),
-                "eigenvalues": [[float(z.real), float(z.imag)] for z in lam],
-            })
-    except _NUMERIC_ERRORS as exc:
-        _exit_numeric(exc)
+    for _ in range(realizations):
+        phi = random_complementary_map(d, k, rng)
+        lam = quadratised_spectrum(phi).values()
+        runs.append({
+            "trace_norm": float(np.sum(np.abs(phi.matrix) ** 2)),
+            "eigenvalues": [[float(z.real), float(z.imag)] for z in lam],
+        })
     doc = {"d": d, "k": k, "seed": seed, "r_in": r_in, "r_out": r_out,
            "realizations": runs}
     with open(out, "w") as fh:

@@ -108,14 +108,20 @@ def hole_probability(s, params):
 
     A(s) = prod_{j=1}^{N} Q(j+L, s^2); equals 1 at s=0 and decreases to 0.
     Broadcasts over s, with j on a trailing axis; scalar s gives a float.
+    The Q table is built for blocks of radii and holds at most max(2^17, N)
+    entries at once (1 MB for N <= 2^17), whatever the number of radii.
     """
     _require_beta2(params)
     s = np.asarray(s, dtype=float)
     if not np.all(np.isfinite(s)) or np.any(s < 0):
         raise ValueError("hole radius must be a finite real >= 0")
-    j = np.arange(1, params.N + 1, dtype=float)
-    val = np.prod(upper_reg_gamma(j + params.L, (s * s)[..., None]), axis=-1)
-    return val if s.ndim else float(val)
+    a = np.arange(1, params.N + 1, dtype=float) + params.L
+    x = (s * s).ravel()
+    val = np.empty_like(x)
+    step = max(1, 2**17 // params.N)
+    for k in range(0, x.size, step):
+        val[k:k + step] = np.prod(upper_reg_gamma(a, x[k:k + step, None]), axis=-1)
+    return val.reshape(s.shape) if s.ndim else float(val[0])
 
 
 def _heaviside(x):

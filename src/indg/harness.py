@@ -212,10 +212,8 @@ def _expected_radial_real(edges, params, n_samples):
     """E[# eigenvalues per rescaled modulus bin], beta=1, reals included."""
     s = math.sqrt(params.N + params.L)
     r, w = cx._gl_nodes(edges, _BIN_ORDER)
-    theta, tw = cx._gl_nodes([0.0, np.pi], 16)
     rr = s * r
-    dens = re1.density_complex(rr[..., None] * np.exp(1j * theta), params)
-    ang = np.sum(dens * tw, axis=-1)
+    ang = re1.density_complex_azimuthal(rr, params)
     # both members of each conjugate pair land in the modulus bin
     pair_part = np.sum(w * 2.0 * rr * s * ang, axis=1)
     real_part = np.sum(w * s * (re1.density_real(rr, params)

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special as sp
 
-from .complex_ensemble import _bulk_matrix, _gl_panels, _reg_p
+from .complex_ensemble import _bulk_matrix, _gl_nodes, _gl_panels, _reg_p
 from .complex_ensemble import density_edge_profile as density_complex_edge_profile
 from .complex_ensemble import density_ring_limit as density_complex_ring_limit
 from .linalg import pfaffian
@@ -61,6 +61,7 @@ __all__ = [
     "helper_rN",
     "kernel_entries",
     "density_complex",
+    "density_complex_azimuthal",
     "density_real",
     "correlations_pfaffian",
     "log_jpdf_real_partial",
@@ -387,6 +388,21 @@ def density_complex(z, params: EnsembleParams):
     bulk = _reg_p(L, u) - lower_reg_gamma(L + N - 1.0, u)
     val = density_crossover_profile(z.imag) * bulk
     return float(val) if np.ndim(val) == 0 else val
+
+
+def density_complex_azimuthal(r, params: EnsembleParams):
+    """integral_0^pi rho_C(r e^{i theta}) d theta by 16-node Gauss-Legendre, for r >= 0.
+
+    Elementwise in r, 0 at r = 0; 2 r times it is the density of |z| over
+    both members of each conjugate pair.
+    """
+    r = np.asarray(r, dtype=float)
+    theta, tw = _gl_nodes([0.0, np.pi], 16)
+    out = np.zeros(r.shape)
+    off = r != 0.0
+    out[off] = np.sum(density_complex(r[off][:, None] * np.exp(1j * theta), params) * tw,
+                      axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 def density_real(x, params: EnsembleParams, variant: str = "theorem"):

@@ -2,20 +2,31 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 from scipy.integrate import quad
 
+import indg
 from indg import channels
+from indg import cli
 from indg import complex_ensemble as cx
 from indg import harness
 from indg import real_ensemble as re1
 from indg.channels import predicted_ring
 from indg.harness import WorkerError
 from indg.cli import _NUMERIC_ERRORS, main
+from indg.linalg import EigenConvergenceError
 from indg.sampling import EnsembleParams, QuadratisationError
+
+# sample archives the library rejects: a non-finite matrix, an unknown beta
+NAN_ARCHIVE = {"matrices": np.full((1, 2, 2), np.nan), "N": 2, "L": 0, "beta": 2}
+BETA3_ARCHIVE = {"matrices": np.eye(2)[None], "N": 2, "L": 0, "beta": 3}
 
 
 @pytest.fixture
@@ -309,12 +320,21 @@ def test_numeric_error_classification():
      "restricted to even matrix dimension"),
     (["kernel", "--beta", "1", "--n", "8", "--l", "0", "--variant", "appendix"],
      "diverges at a real argument 0"),
+    (["spectrum", NAN_ARCHIVE], "matrix entries must be finite"),
+    (["spectrum", BETA3_ARCHIVE], "beta must be 1 or 2, got 3"),
+    (["holeprob", "--n", "20", "--l", "2", "--smax", "inf", "--steps", "4"],
+     "hole radius must be a finite real >= 0"),
+    (["holeprob", "--n", "20", "--l", "2", "--smax", "nan", "--steps", "4"],
+     "hole radius must be a finite real >= 0"),
 ])
 def test_library_value_errors_are_usage_errors(runner, tmp_path, args, message):
     if args[0] == "kernel":
         pts = tmp_path / "pts.csv"
         pts.write_text("0.0,0.0\n0.5,0.7\n")
         args = args + ["--points", str(pts)]
+    if args[0] == "spectrum":
+        np.savez(tmp_path / "m.npz", **args[1])
+        args = ["spectrum", "--in", str(tmp_path / "m.npz")]
     res = runner.invoke(main, args + ["--out", str(tmp_path / "o.csv")])
     assert res.exit_code == 2, res.output
     assert message in res.output
@@ -334,3 +354,35 @@ def test_channel_kraus_defect_exits_3(runner, tmp_path, monkeypatch):
                                "--seed", "3", "--out", str(tmp_path / "c.json")])
     assert res.exit_code == 3, res.output
     assert "Kraus identity resolution violated" in res.output
+
+
+@pytest.mark.parametrize("command, target, exc", [
+    ("spectrum", "eigenvalues", EigenConvergenceError("eigvals did not converge")),
+    # a ValueError subclass: the numeric exit must win over the usage mapping
+    ("sample", "sample_induced_quadratise", QuadratisationError(1e15)),
+])
+def test_numeric_failures_exit_3(runner, tmp_path, monkeypatch, command, target, exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, target, fail)
+    archive = str(tmp_path / "m.npz")
+    np.savez(archive, matrices=np.eye(2)[None], N=2, L=0, beta=2)
+    args = {"spectrum": ["spectrum", "--in", archive],
+            "sample": ["sample", "--beta", "2", "--n", "4", "--l", "1", "--seed", "0"]}
+    res = runner.invoke(main, args[command] + ["--out", str(tmp_path / "o")])
+    assert res.exit_code == 3, res.output
+    assert f"numeric failure: {exc}" in res.output
+
+
+def test_entry_point_usage_error_has_no_traceback(tmp_path):
+    archive = tmp_path / "m.npz"
+    np.savez(archive, **NAN_ARCHIVE)
+    src = str(Path(indg.__file__).parents[1])
+    res = subprocess.run(
+        [sys.executable, "-m", "indg.cli", "spectrum", "--in", str(archive),
+         "--out", str(tmp_path / "o.csv")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert res.returncode == 2, res.stderr
+    assert "Error:" in res.stderr and "matrix entries must be finite" in res.stderr
+    assert "Traceback" not in res.stderr

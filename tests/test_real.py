@@ -18,6 +18,7 @@ from indg.real_ensemble import (
     _tau_odd_logmag,
     correlations_pfaffian,
     density_complex,
+    density_complex_azimuthal,
     density_complex_edge_profile,
     density_complex_origin_limit,
     density_complex_ring_limit,
@@ -274,6 +275,19 @@ def test_density_parity():
         zs = xs + 0.7j
         assert np.allclose(density_complex(zs, params),
                            density_complex(-np.conj(zs), params), atol=1e-14)
+
+
+def test_density_complex_azimuthal_vs_quadrature():
+    params = P1(8, 2.0)
+    rs = np.array([0.0, 0.5, 1.5, 2.5])
+    got = density_complex_azimuthal(rs, params)
+    assert got[0] == 0.0
+    for r, g in zip(rs[1:], got[1:]):
+        want = quad(lambda t: float(density_complex(r * np.exp(1j * t), params)),
+                    0.0, math.pi, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+        assert abs(g - want) < 1e-8 * want, (r, g, want)
+    with pytest.raises(ValueError):
+        density_complex_azimuthal(-0.5, params)
 
 
 def test_density_domain_errors():
