@@ -190,6 +190,9 @@ def kernel(beta, n, l, points, out, variant):
 def holeprob(n, l, smax, steps, out):
     """Hole probability A(s) of the complex ensemble on s = 0 .. smax."""
     params = EnsembleParams(N=n, L=l, beta=2)
+    if not math.isfinite(smax):
+        # checked before np.linspace, which warns on a non-finite end point
+        raise ValueError("hole radius must be a finite real >= 0")
     if smax <= 0 or steps < 1:
         raise click.UsageError("need --smax > 0 and --steps >= 1")
     s = np.linspace(0.0, smax, steps)

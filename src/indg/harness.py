@@ -1,14 +1,28 @@
 """Monte Carlo harness: seeded experiments, histograms, reports.
 
-Every experiment is deterministic given (name, master_seed, n_samples): the
-work is split over sample indices, each index gets its own RNG stream spawned
-as SeedSequence(master_seed, spawn_key=(index,)), and the merge step reduces
+Every experiment is deterministic given (name, master_seed, n_samples): each
+sample index gets its own RNG stream spawned as
+SeedSequence(master_seed, spawn_key=(index,)), and the merge step reduces
 per-index results in index order.  Sub-runs of one experiment use disjoint
 index ranges salt .. salt+n-1; a failing sample raises WorkerError naming its
-index and master seed.  The worker count (flag, else INDG_THREADS,
-else cpu count) therefore changes only the wall time, never the numbers; the
-canonical report payload excludes wall time so byte identity across worker
-counts can be asserted directly.
+index and master seed.
+
+The work is mapped over contiguous chunks of indices, not single indices.
+A chunk holds as many draws as fit _CHUNK_BYTES (256 KiB) of (N+L) x (N+L)
+complex factors: 33 draws at N+L = 22, one from N+L = 128 up.  Each index
+draws its Gaussian from its own stream; the chunk stacks the draws and runs
+each layer of the reduction (complete QR, polar SVD, product, eigvals) as one
+numpy call on the whole stack, whose rows are bit-identical to the per-matrix
+calls.  numpy's eigvals releases the GIL for a stack of k m x m matrices
+only when k*m > 500 (33 * 20 for hole-prob; never for a single matrix with
+m <= 500), so the worker threads (flag, else INDG_THREADS, else cpu
+count) run such chunks in parallel.  The samplers that consume one stream
+twice (sampler-equiv) and the channel maps loop over their indices inside a
+chunk.  A chunk that
+raises is rerun index by index, so the error names its sample.  The worker
+count and the chunking therefore change only the wall time, never the
+numbers; the canonical report payload excludes wall time so byte identity
+across worker counts can be asserted directly.
 """
 
 import csv
@@ -25,8 +39,9 @@ import numpy as np
 from . import complex_ensemble as cx
 from . import real_ensemble as re1
 from .channels import predicted_ring, quadratised_spectrum, random_complementary_map
-from .linalg import eigenvalues
-from .sampling import EnsembleParams, sample_induced_polar, sample_induced_quadratise
+from .linalg import eigenvalues, eigvals_stack, real_mask, sample_gaussian
+from .sampling import (EnsembleParams, sample_induced_polar, sample_induced_quadratise,
+                       square_factors)
 
 __all__ = [
     "RadialHistogram",
@@ -42,6 +57,11 @@ __all__ = [
 DEFAULT_BINS = 64
 DEFAULT_RANGE = (0.0, 1.2)  # rescaled units, |lambda| / sqrt(N+L)
 _BIN_ORDER = 12  # Gauss-Legendre nodes per histogram bin for the expectations
+# Byte budget of one chunk's stack of (N+L) x (N+L) complex factors: 33
+# draws of hole-prob's 22 x 22, one of anything from 128 x 128 up.  Half of
+# it (16 draws) stays under eigvals' GIL-release size and loses the overlap;
+# twice it doubles the stacks' memory for no speed.
+_CHUNK_BYTES = 256 * 1024
 
 
 @dataclass
@@ -159,20 +179,41 @@ def _index_rng(master_seed, index):
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(index,)))
 
 
-def _guarded(fn, master_seed, index):
-    try:
-        return fn(index)
-    except Exception as exc:
-        raise WorkerError(index, master_seed, exc) from exc
+def _chunk_length(rows):
+    """Samples per chunk: the (rows x rows) complex matrices that fit _CHUNK_BYTES, at least 1."""
+    return max(1, _CHUNK_BYTES // (16 * rows * rows))
 
 
-def _map_indices(fn, n, workers, master_seed, salt=0):
-    """Run fn(salt .. salt+n-1) with any worker count; results in index order."""
-    indices = range(salt, salt + n)
-    if workers <= 1:
-        return [_guarded(fn, master_seed, i) for i in indices]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(partial(_guarded, fn, master_seed), indices))
+def _run_chunk(fn, master_seed, start, stop):
+    """[fn(start, stop)]; if that raises, fn on each index alone, so a failure names its index."""
+    if stop - start > 1:
+        try:
+            return [fn(start, stop)]
+        except Exception:
+            pass  # the rerun below gives the same results or names the failing index
+    out = []
+    for i in range(start, stop):
+        try:
+            out.append(fn(i, i + 1))
+        except Exception as exc:
+            raise WorkerError(i, master_seed, exc) from exc
+    return out
+
+
+def _map_chunks(fn, n, size, workers, master_seed, salt=0):
+    """fn(start, stop) over consecutive chunks of at most `size` of salt .. salt+n-1.
+
+    Returns the chunk results in index order; a chunk that had to be rerun
+    index by index contributes one result per index, so concatenating the
+    list gives the same result either way.
+    """
+    bounds = [(a, min(a + size, salt + n)) for a in range(salt, salt + n, size)]
+    if workers <= 1 or len(bounds) == 1:
+        parts = [_run_chunk(fn, master_seed, a, b) for a, b in bounds]
+    else:
+        with ThreadPoolExecutor(max_workers=min(workers, len(bounds))) as pool:
+            parts = list(pool.map(partial(_run_chunk, fn, master_seed), *zip(*bounds)))
+    return [result for part in parts for result in part]
 
 
 def ks_two_sample(a, b):
@@ -240,27 +281,51 @@ def _bin_table(var, hist, expected):
 
 
 # --------------------------------------------------------------------------
-# per-index work: each draws from its own spawn index and returns raw results
+# chunk work: each draws indices start .. stop-1 from their own spawn streams
 
 
-def _spectrum_at(params, master_seed, index):
-    """Spectrum of the quadratised draw on spawn index `index`."""
-    G = sample_induced_quadratise(params, _index_rng(master_seed, index))
-    return eigenvalues(G, beta=params.beta)
+def _spectra_chunk(params, master_seed, start, stop):
+    """Eigenvalues of the quadratised draws on spawn indices start .. stop-1, one row each.
+
+    The draws are stacked, so each layer (QR, polar SVD, product, eigvals)
+    is one numpy call for the whole chunk; row j is bit-identical to the
+    spectrum of sample_induced_quadratise on index start + j, which redraws
+    the rows whose top block is ill-conditioned.
+    """
+    N, L = params.N, params.require_integer_L()
+    G = np.stack([sample_gaussian(N + L, N, params.beta, _index_rng(master_seed, i))
+                  for i in range(start, stop)])
+    if L:
+        G, ill = square_factors(G)
+        for j in np.flatnonzero(ill):
+            G[j] = sample_induced_quadratise(params, _index_rng(master_seed, start + j))
+    return eigvals_stack(G, params.beta)
 
 
-def _sampler_pair_at(params, master_seed, index):
-    """|eigenvalues| of a polar and then a quadratised draw from one stream."""
-    rng = _index_rng(master_seed, index)
-    a = np.abs(eigenvalues(sample_induced_polar(params, rng), beta=params.beta).values())
-    b = np.abs(eigenvalues(sample_induced_quadratise(params, rng), beta=params.beta).values())
-    return a, b
+def _map_spectra(params, n_samples, workers, master_seed, salt=0):
+    """Eigenvalue rows of n_samples quadratised draws, in index order."""
+    size = _chunk_length(params.N + params.require_integer_L())
+    return np.concatenate(_map_chunks(partial(_spectra_chunk, params, master_seed),
+                                      n_samples, size, workers, master_seed, salt))
 
 
-def _channel_at(geometry, master_seed, index):
-    """Quadratised spectrum and squared norm of one random map of shape (d, k)."""
-    phi = random_complementary_map(*geometry, _index_rng(master_seed, index))
-    return quadratised_spectrum(phi).values(), float(np.sum(np.abs(phi.matrix) ** 2))
+def _sampler_pairs_chunk(params, master_seed, start, stop):
+    """|eigenvalues| of a polar and then a quadratised draw from each index's stream."""
+    polar, quad = [], []
+    for i in range(start, stop):
+        rng = _index_rng(master_seed, i)
+        for out, sampler in ((polar, sample_induced_polar), (quad, sample_induced_quadratise)):
+            out.append(np.abs(eigenvalues(sampler(params, rng), beta=params.beta).values()))
+    return np.concatenate(polar), np.concatenate(quad)
+
+
+def _channel_chunk(geometry, master_seed, start, stop):
+    """Quadratised spectrum and squared norm of one random map of shape (d, k) per index."""
+    out = []
+    for i in range(start, stop):
+        phi = random_complementary_map(*geometry, _index_rng(master_seed, i))
+        out.append((quadratised_spectrum(phi).values(), float(np.sum(np.abs(phi.matrix) ** 2))))
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -270,10 +335,9 @@ def _channel_at(geometry, master_seed, index):
 def _exp_radial_density(master_seed, n_samples, workers):
     params = EnsembleParams(N=128, L=32, beta=2)
     scale = 1.0 / math.sqrt(params.N + params.L)
-    spectra = _map_indices(partial(_spectrum_at, params, master_seed),
-                           n_samples, workers, master_seed)
+    ev = _map_spectra(params, n_samples, workers, master_seed)
     hist = RadialHistogram.empty(params)
-    hist.add(np.abs(np.concatenate([spec.values() for spec in spectra])) * scale, n_samples)
+    hist.add(np.abs(ev) * scale, n_samples)
     expected = _expected_radial_complex(hist.edges, params, n_samples)
     ok = _bins_within_3sigma(hist.counts, expected)
     meta = {"N": params.N, "L": params.L, "beta": 2, "n_samples": n_samples,
@@ -288,9 +352,8 @@ def _exp_real_count(master_seed, n_samples, workers):
     reports, artifacts = [], {}
     for params, salt in ((EnsembleParams(N=128, L=32, beta=1), 0),
                          (EnsembleParams(N=128, L=0, beta=1), 10 ** 6)):
-        spectra = _map_indices(partial(_spectrum_at, params, master_seed),
-                               n_samples, workers, master_seed, salt)
-        counts = np.array([len(spec.real_eigs) for spec in spectra], dtype=float)
+        ev = _map_spectra(params, n_samples, workers, master_seed, salt)
+        counts = np.sum(real_mask(ev), axis=1).astype(float)
         mean = float(counts.mean())
         se = float(counts.std(ddof=1) / math.sqrt(len(counts)))
         meta = {"N": params.N, "L": params.L, "beta": 1, "n_samples": n_samples,
@@ -310,9 +373,7 @@ def _exp_real_count(master_seed, n_samples, workers):
 def _exp_hole_prob(master_seed, n_samples, workers):
     params = EnsembleParams(N=20, L=2, beta=2)
     radii = np.array([0.5, 1.0, 1.5])
-    spectra = _map_indices(partial(_spectrum_at, params, master_seed),
-                           n_samples, workers, master_seed)
-    rmin = np.array([np.min(np.abs(spec.values())) for spec in spectra])
+    rmin = np.min(np.abs(_map_spectra(params, n_samples, workers, master_seed)), axis=1)
     fracs = (rmin[:, None] > radii).mean(axis=0)
     table = [("s", "analytic", "empirical")] + list(
         zip(radii.tolist(), cx.hole_probability(radii, params).tolist(), fracs.tolist()))
@@ -329,8 +390,9 @@ def _exp_sampler_equiv(master_seed, n_samples, workers):
     reports = []
     for beta, salt in ((1, 0), (2, 10 ** 6)):
         params = EnsembleParams(N=50, L=10, beta=beta)
-        drawn = _map_indices(partial(_sampler_pair_at, params, master_seed),
-                             n_samples, workers, master_seed, salt)
+        drawn = _map_chunks(partial(_sampler_pairs_chunk, params, master_seed), n_samples,
+                            _chunk_length(params.N + params.require_integer_L()), workers,
+                            master_seed, salt)
         polar = np.sort(np.concatenate([d[0] for d in drawn]))
         quad = np.sort(np.concatenate([d[1] for d in drawn]))
         t, p = ks_two_sample(polar, quad)
@@ -346,8 +408,9 @@ def _exp_channel_ring(master_seed, n_samples, workers):
     reports, artifacts = [], {}
     for g, (d, k) in enumerate(geometries):
         r_in, r_out = predicted_ring(d, k)
-        drawn = _map_indices(partial(_channel_at, (d, k), master_seed),
-                             n_samples, workers, master_seed, g * 10 ** 6)
+        drawn = [pair for chunk in _map_chunks(
+            partial(_channel_chunk, (d, k), master_seed), n_samples,
+            _chunk_length(max(d, k) ** 2), workers, master_seed, g * 10 ** 6) for pair in chunk]
         inside = total = 0
         rows = [("realization", "re", "im")]
         for i, (lam, _) in enumerate(drawn):
@@ -393,12 +456,12 @@ def _exp_edge_profile(master_seed, n_samples, workers):
 def _exp_real_density(master_seed, n_samples, workers):
     params = EnsembleParams(N=16, L=4, beta=1)
     scale = 1.0 / math.sqrt(params.N + params.L)
-    spectra = _map_indices(partial(_spectrum_at, params, master_seed),
-                           n_samples, workers, master_seed)
+    ev = _map_spectra(params, n_samples, workers, master_seed)
     radial = RadialHistogram.empty(params)
     line = RadialHistogram.empty(params, edges=np.linspace(-1.2, 1.2, DEFAULT_BINS + 1))
-    radial.add(np.abs(np.concatenate([spec.values() for spec in spectra])) * scale, n_samples)
-    line.add(np.concatenate([spec.real_eigs for spec in spectra]) * scale, n_samples)
+    # dgeev returns each conjugate pair exactly, so both members are binned
+    radial.add(np.abs(ev) * scale, n_samples)
+    line.add(ev.real[real_mask(ev)] * scale, n_samples)
     exp_radial = _expected_radial_real(radial.edges, params, n_samples)
     exp_line = _expected_line_real(line.edges, params, n_samples)
     meta = {"N": params.N, "L": params.L, "beta": 1, "n_samples": n_samples,

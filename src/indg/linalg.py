@@ -19,6 +19,8 @@ __all__ = [
     "sample_gaussian",
     "sample_haar_unitary",
     "eigenvalues",
+    "eigvals_stack",
+    "real_mask",
     "psd_sqrt",
     "pfaffian",
     "pfaffian_sign_logmag",
@@ -111,18 +113,15 @@ def sample_haar_unitary(n, beta, rng):
     return q * ph
 
 
-def eigenvalues(G, beta):
-    """Spectrum of a square matrix with structural real/complex split.
+def eigvals_stack(G, beta):
+    """Eigenvalues of a square matrix or a stack (..., n, n), one dgeev call.
 
-    One np.linalg.eigvals (dgeev) call for either beta.  beta=1 requires a
-    real matrix: eigenvalues with imaginary part exactly 0.0 are the 1x1
-    blocks of the real Schur form, those with imaginary part > 0 stand for
-    the conjugate pairs of its 2x2 blocks (dgeev returns each pair as exact
-    conjugates).  beta=2 reports every eigenvalue individually (see Spectrum).
+    Returns the eigenvalues in dgeev's order, one row per matrix.  beta=1
+    requires real matrices; real_mask tells their real eigenvalues apart.
     """
     G = np.asarray(G)
-    n = G.shape[0]
-    if G.shape != (n, n):
+    n = G.shape[-1]
+    if G.ndim < 2 or G.shape[-2] != n:
         raise ValueError("eigenvalues needs a square matrix")
     if not np.all(np.isfinite(G.real)) or not np.all(np.isfinite(G.imag)):
         raise ValueError("matrix entries must be finite")
@@ -133,13 +132,33 @@ def eigenvalues(G, beta):
             raise ValueError("beta=1 eigenvalue extraction needs a real matrix")
         G = G.real
     try:
-        ev = np.linalg.eigvals(G.astype(float if beta == 1 else complex))
+        return np.linalg.eigvals(G.astype(float if beta == 1 else complex))
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(f"eigvals failed on {n}x{n} matrix: {exc}") from exc
 
+
+def real_mask(ev):
+    """The real eigenvalues of a real matrix among dgeev's output: imaginary part exactly 0.0."""
+    return ev.imag == 0.0
+
+
+def eigenvalues(G, beta):
+    """Spectrum of a square matrix with structural real/complex split.
+
+    One np.linalg.eigvals (dgeev) call for either beta.  beta=1 requires a
+    real matrix: eigenvalues with imaginary part exactly 0.0 are the 1x1
+    blocks of the real Schur form, those with imaginary part > 0 stand for
+    the conjugate pairs of its 2x2 blocks (dgeev returns each pair as exact
+    conjugates).  beta=2 reports every eigenvalue individually (see Spectrum).
+    """
+    G = np.asarray(G)
+    if G.ndim != 2:
+        raise ValueError("eigenvalues needs a square matrix")
+    ev = eigvals_stack(G, beta)
+    n = len(ev)
     if beta == 2:
         return Spectrum(np.empty(0), np.column_stack([ev.real, ev.imag]), n, beta=2)
-    reals = np.sort(ev.real[ev.imag == 0.0])
+    reals = np.sort(ev.real[real_mask(ev)])
     pairs = ev[ev.imag > 0.0]
     pairs = np.column_stack([pairs.real, pairs.imag])
     pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]

@@ -20,6 +20,7 @@ __all__ = [
     "EnsembleParams",
     "QuadratisationError",
     "quadratise",
+    "square_factors",
     "sample_induced_polar",
     "sample_induced_quadratise",
     "log_density",
@@ -75,6 +76,33 @@ def _polar_unitary(S):
     return u @ vh, sv
 
 
+def _reduce(X):
+    """Complete QR of a standing matrix, or of a stack (..., M, N) of them.
+
+    Returns (G, Q, O₁, cond): Q the complete Q factor, O₁ the polar factor of
+    its top block Q₁, G = O₁R and cond = cond(Q₁) = σ_max/σ_min, inf when Q₁
+    is singular.  Each layer is one numpy call on the whole stack, and each
+    matrix's result is bit-identical to the call on that matrix alone.
+    """
+    N = X.shape[-1]
+    Q, RR = np.linalg.qr(X, mode="complete")
+    O1, sv = _polar_unitary(Q[..., :N, :N])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = sv[..., 0] / sv[..., -1]
+    return O1 @ RR[..., :N, :], Q, O1, cond
+
+
+def square_factors(X):
+    """quadratise's G for every matrix of a stack X of shape (n, M, N), M > N.
+
+    Returns (G, ill): G has shape (n, N, N), row j bit-identical to
+    quadratise(X[j])[0]; ill marks the rows for which quadratise raises
+    QuadratisationError, whose G must not be used.  W is not built.
+    """
+    G, _, _, cond = _reduce(X)
+    return G, ~(cond <= _COND_LIMIT)
+
+
 def quadratise(X):
     """Reduce a standing rectangular matrix to square form.
 
@@ -102,13 +130,10 @@ def quadratise(X):
     if not np.all(np.isfinite(X)):
         raise ValueError("quadratise needs finite matrix entries")
 
-    Q, RR = np.linalg.qr(X, mode="complete")
-    R = RR[:N, :]
+    G, Q, O1, cond = _reduce(X)
+    if not cond <= _COND_LIMIT:
+        raise QuadratisationError(cond)
     # first block column: Q̃·(polar factor of Q₁)†, whose top block is PSD
-    O1, sv = _polar_unitary(Q[:N, :N])
-    if sv[-1] * _COND_LIMIT < sv[0]:
-        raise QuadratisationError(sv[0] / sv[-1] if sv[-1] else np.inf)
-    G = O1 @ R
     W1 = Q[:, :N] @ O1.conj().T
     # orthogonal complement, rotated so its bottom block is PSD
     Qp = Q[:, N:]

@@ -22,18 +22,18 @@ def test_replay_table_matches_the_harness_draws(monkeypatch):
     from indg import harness
 
     seen = set()
-    spectrum_at, channel_at = harness._spectrum_at, harness._channel_at
+    spectra_chunk, channel_chunk = harness._spectra_chunk, harness._channel_chunk
 
-    def record_spectrum(params, master_seed, index):
-        seen.add((params, index))
-        return spectrum_at(params, master_seed, index)
+    def record_spectra(params, master_seed, start, stop):
+        seen.update((params, index) for index in range(start, stop))
+        return spectra_chunk(params, master_seed, start, stop)
 
-    def record_channel(geometry, master_seed, index):
-        seen.add((tuple(geometry), index))
-        return channel_at(geometry, master_seed, index)
+    def record_channel(geometry, master_seed, start, stop):
+        seen.update((tuple(geometry), index) for index in range(start, stop))
+        return channel_chunk(geometry, master_seed, start, stop)
 
-    monkeypatch.setattr(harness, "_spectrum_at", record_spectrum)
-    monkeypatch.setattr(harness, "_channel_at", record_channel)
+    monkeypatch.setattr(harness, "_spectra_chunk", record_spectra)
+    monkeypatch.setattr(harness, "_channel_chunk", record_channel)
     n = 2
     for experiment in (*tracing.REPLAY_ENSEMBLES, "channel-ring"):
         seen.clear()

@@ -278,13 +278,13 @@ def test_usage_errors(runner, tmp_path):
 
 
 def _failing_spectrum(exc):
-    def spectrum_at(params, master_seed, index):
+    def spectra_chunk(params, master_seed, start, stop):
         raise exc
-    return spectrum_at
+    return spectra_chunk
 
 
 def test_verify_numeric_sample_failure_exits_3(runner, monkeypatch):
-    monkeypatch.setattr(harness, "_spectrum_at", _failing_spectrum(QuadratisationError(1e15)))
+    monkeypatch.setattr(harness, "_spectra_chunk", _failing_spectrum(QuadratisationError(1e15)))
     res = runner.invoke(main, ["verify", "--experiment", "hole-prob",
                                "--seed", "0", "--samples", "4", "--workers", "1"])
     assert res.exit_code == 3
@@ -292,7 +292,7 @@ def test_verify_numeric_sample_failure_exits_3(runner, monkeypatch):
 
 
 def test_verify_programming_error_is_not_numeric(runner, monkeypatch):
-    monkeypatch.setattr(harness, "_spectrum_at", _failing_spectrum(TypeError("bad operand")))
+    monkeypatch.setattr(harness, "_spectra_chunk", _failing_spectrum(TypeError("bad operand")))
     res = runner.invoke(main, ["verify", "--experiment", "hole-prob",
                                "--seed", "0", "--samples", "4", "--workers", "1"])
     assert res.exit_code != 3
@@ -386,3 +386,16 @@ def test_entry_point_usage_error_has_no_traceback(tmp_path):
     assert res.returncode == 2, res.stderr
     assert "Error:" in res.stderr and "matrix entries must be finite" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("smax", ["inf", "nan"])
+def test_holeprob_nonfinite_smax_warns_nothing(tmp_path, smax):
+    # the radius is checked before the grid is built, so numpy has nothing to warn about
+    src = str(Path(indg.__file__).parents[1])
+    res = subprocess.run(
+        [sys.executable, "-m", "indg.cli", "holeprob", "--n", "20", "--l", "2",
+         "--smax", smax, "--steps", "4"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert res.returncode == 2, res.stderr
+    assert "Error:" in res.stderr and "hole radius must be a finite real >= 0" in res.stderr
+    assert "RuntimeWarning" not in res.stderr

@@ -1,24 +1,27 @@
 """Monte Carlo harness: KS statistic, histograms, determinism, experiments."""
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from indg import harness
 from indg import real_ensemble as re1
+from indg import sampling
 from indg.harness import (
     EXPERIMENTS,
     ExperimentReport,
     RadialHistogram,
     WorkerError,
-    _map_indices,
+    _map_chunks,
     ks_two_sample,
     report_payload_bytes,
     resolve_workers,
     run_mc,
 )
-from indg.sampling import EnsembleParams
+from indg.linalg import EigenConvergenceError, eigvals_stack, sample_gaussian
+from indg.sampling import EnsembleParams, quadratise, sample_induced_quadratise, square_factors
 
 
 # ---------------------------------------------------------------- KS
@@ -91,14 +94,17 @@ def test_resolve_workers(monkeypatch):
 
 
 def test_map_indices_surfaces_failing_index():
-    def fn(i):
-        if i == 3:
+    def fn(start, stop):
+        if start <= 3 < stop:
             raise ValueError("boom")
-        return i
+        return list(range(start, stop))
 
+    # the chunk (2, 4) fails as a whole and is rerun index by index
     with pytest.raises(RuntimeError, match="index 3"):
-        _map_indices(fn, 5, workers=1, master_seed=17)
-    assert _map_indices(lambda i: i * i, 5, workers=2, master_seed=17) == [0, 1, 4, 9, 16]
+        _map_chunks(fn, 5, 2, workers=1, master_seed=17)
+    squares = _map_chunks(lambda a, b: [i * i for i in range(a, b)], 5, 2,
+                          workers=2, master_seed=17)
+    assert squares == [[0, 1], [4, 9], [16]]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -118,6 +124,106 @@ def test_worker_error_names_the_salted_stream(monkeypatch, workers):
     assert info.value.index == 10 ** 6 + 2
     assert info.value.master_seed == 19
     assert isinstance(info.value.__cause__, FloatingPointError)
+
+
+# ---------------------------------------------------------------- stacked chunks
+
+@pytest.mark.parametrize("M,N,beta", [(22, 20, 2), (160, 128, 1), (160, 128, 2),
+                                      (129, 128, 1), (7, 4, 1), (7, 4, 2)])
+def test_square_factors_match_quadratise_bit_for_bit(M, N, beta):
+    rng = np.random.default_rng(M * N + beta)
+    X = np.stack([sample_gaussian(M, N, beta, rng) for _ in range(3)])
+    G, ill = square_factors(X)
+    assert not ill.any()
+    for j in range(len(X)):
+        assert G[j].tobytes() == quadratise(X[j])[0].tobytes()
+
+
+def _stacked_draws(monkeypatch):
+    # _spectra_chunk with eigvals_stack passed through returns the stacked G
+    monkeypatch.setattr(harness, "eigvals_stack", lambda G, beta: G)
+    return harness._spectra_chunk
+
+
+@pytest.mark.parametrize("params", [EnsembleParams(N=20, L=2, beta=2),
+                                    EnsembleParams(N=4, L=3, beta=1),
+                                    EnsembleParams(N=6, L=0, beta=1)])
+def test_chunk_draws_match_the_scalar_sampler(monkeypatch, params):
+    chunk = _stacked_draws(monkeypatch)(params, 23, 5, 12)
+    for j, index in enumerate(range(5, 12)):
+        G = sample_induced_quadratise(params, harness._index_rng(23, index))
+        assert chunk[j].tobytes() == G.tobytes()
+
+
+def test_ill_conditioned_row_is_redrawn_on_its_stream(monkeypatch):
+    params = EnsembleParams(N=20, L=2, beta=2)
+    seed, bad = 31, 4
+    fresh = harness._index_rng(seed, bad).bit_generator.state
+    draw = sample_gaussian
+
+    def singular_first_draw(rows, cols, beta, rng):
+        first = rng.bit_generator.state == fresh
+        X = draw(rows, cols, beta, rng)
+        if first:
+            X[0] = 0.0  # a zero row of the top block makes Q1 singular
+        return X
+
+    monkeypatch.setattr(harness, "sample_gaussian", singular_first_draw)
+    monkeypatch.setattr(sampling, "sample_gaussian", singular_first_draw)
+    X = np.stack([singular_first_draw(22, 20, 2, harness._index_rng(seed, i)) for i in range(8)])
+    assert square_factors(X)[1].tolist() == [i == bad for i in range(8)]
+    chunk = _stacked_draws(monkeypatch)(params, seed, 0, 8)
+    for i in range(8):
+        G = sample_induced_quadratise(params, harness._index_rng(seed, i))
+        assert chunk[i].tobytes() == G.tobytes()
+
+
+def test_failing_stacked_eigvals_names_the_salted_index(monkeypatch):
+    params = EnsembleParams(N=20, L=2, beta=2)
+    target = sample_induced_quadratise(params, harness._index_rng(19, 10 ** 6 + 35))
+
+    def eigvals_failing_on_target(G, beta):
+        if any(np.array_equal(g, target) for g in G):
+            raise EigenConvergenceError("injected")
+        return eigvals_stack(G, beta)
+
+    monkeypatch.setattr(harness, "eigvals_stack", eigvals_failing_on_target)
+    # chunks of 33: index 35 sits inside the second chunk, not at its edge
+    with pytest.raises(WorkerError, match=r"seed spawn \(19, \(1000035,\)\)") as info:
+        harness._map_spectra(params, 40, 2, 19, salt=10 ** 6)
+    assert info.value.index == 10 ** 6 + 35
+    assert isinstance(info.value.__cause__, EigenConvergenceError)
+
+
+# sample counts that put a chunk boundary inside the run: hole-prob and
+# real-density stack 33 and 40 draws per chunk, sampler-equiv 4, the others 1
+_IDENTITY_N = {"radial-density": 3, "real-count": 3, "hole-prob": 50,
+               "sampler-equiv": 6, "channel-ring": 2, "real-density": 50}
+
+
+@pytest.mark.parametrize("experiment", sorted(_IDENTITY_N))
+def test_reports_and_artifacts_identical_across_workers(tmp_path, experiment):
+    n = _IDENTITY_N[experiment]
+    outputs = []
+    for workers in (1, 2, 3):
+        out = tmp_path / str(workers)
+        reports = run_mc(experiment, 8, n, workers=workers, out_dir=str(out))
+        csvs = {f: (out / f).read_bytes() for f in sorted(os.listdir(out)) if f.endswith(".csv")}
+        outputs.append((report_payload_bytes(reports), csvs))
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_chunk_memory_stays_bounded():
+    # tracemalloc peak of 2000 hole-prob draws on two workers; the per-index
+    # map peaked at 3.57 MiB, and a 512 KiB chunk budget would reach 5.4 MiB
+    run_mc("hole-prob", 3, 40, workers=2)
+    tracemalloc.start()
+    try:
+        run_mc("hole-prob", 3, 2000, workers=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.6 * 2 ** 20
 
 
 # ---------------------------------------------------------------- bin expectations
