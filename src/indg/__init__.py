@@ -30,16 +30,15 @@ from .complex_ensemble import (
 from .harness import (
     EXPERIMENTS,
     ExperimentReport,
-    RadialHistogram,
     ks_two_sample,
     run_mc,
 )
 from .linalg import (
-    Spectrum,
     eigenvalues,
     pfaffian,
     pfaffian_sign_logmag,
     psd_sqrt,
+    real_mask,
     sample_gaussian,
     sample_haar_unitary,
 )
@@ -72,8 +71,6 @@ __all__ = [
     "EXPERIMENTS",
     "ExperimentReport",
     "QuadratisationError",
-    "RadialHistogram",
-    "Spectrum",
     "Superoperator",
     "complementary_kraus",
     "correlations_Rn",
@@ -103,6 +100,7 @@ __all__ = [
     "quadratise",
     "quadratised_spectrum",
     "random_complementary_map",
+    "real_mask",
     "run_mc",
     "sample_gaussian",
     "sample_haar_unitary",

@@ -14,7 +14,8 @@ Conventions fixed here: the composite space is ordered system (x) environment
 environment starts in the first basis vector; density matrices are vectorized
 row-major, so the map rho -> sum_a A_a rho A_a^dag has superoperator
 sum_a kron(A_a, conj(A_a)).  The ring prediction is basis-independent; the
-convention only pins down raw matrices for reproducibility.
+convention only pins down raw matrices for reproducibility.  A spectrum is
+the complex array linalg.eigenvalues returns, in its order.
 """
 
 import math
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Spectrum, eigenvalues, sample_haar_unitary
+from .linalg import eigenvalues, sample_haar_unitary
 from .sampling import quadratise
 
 __all__ = [
@@ -116,7 +117,7 @@ def dynamical_matrix(phi):
 
 
 def quadratised_spectrum(phi):
-    """Eigenvalues of the quadratised superoperator, as a beta=2 Spectrum.
+    """Eigenvalues of the quadratised superoperator, in eigenvalues' (dgeev's) order.
 
     k > d: quadratise the standing k^2 x d^2 matrix; k < d: quadratise its
     transpose (the natural standing reduction); k = d: the matrix is already
@@ -124,10 +125,9 @@ def quadratised_spectrum(phi):
     """
     d, k = phi.spec.d, phi.spec.k
     m = phi.matrix
-    if k == d:
-        return eigenvalues(m, beta=2)
-    square, _ = quadratise(m if k > d else m.T)
-    return eigenvalues(square, beta=2)
+    if k != d:
+        m, _ = quadratise(m if k > d else m.T)
+    return eigenvalues(m, beta=2)
 
 
 def predicted_ring(d, k):

@@ -12,6 +12,7 @@ import csv
 import json
 import math
 import sys
+import warnings
 
 import click
 import numpy as np
@@ -20,7 +21,7 @@ from . import complex_ensemble as cx
 from . import real_ensemble as re1
 from .channels import predicted_ring, quadratised_spectrum, random_complementary_map
 from .harness import WorkerError, run_mc
-from .linalg import EigenConvergenceError, eigenvalues
+from .linalg import EigenConvergenceError, eigenvalues, real_mask
 from .sampling import EnsembleParams, QuadratisationError, sample_induced_quadratise
 
 _NUMERIC_ERRORS = (QuadratisationError, EigenConvergenceError,
@@ -106,12 +107,17 @@ def spectrum(infile, out, rescale):
     except ValueError as exc:
         raise click.UsageError(f"{infile} is not a sample archive: {exc}")
     scale = 1.0 / math.sqrt(n_dim + l_idx) if rescale else 1.0
-    rows = []
-    for idx, G in enumerate(mats):
-        spec = eigenvalues(G, beta=beta)
-        n_real = len(spec.real_eigs)
-        rows.extend((idx, scale * v.real, scale * v.imag, int(k < n_real))
-                    for k, v in enumerate(spec.values()))
+    if mats.ndim != 3:
+        raise click.UsageError(f"{infile} is not a sample archive (matrices not [count, N, N])")
+    ev = eigenvalues(mats, beta=beta)
+    if beta == 1:
+        # reals ascending, then the pair representatives (y > 0) by (x, y),
+        # then their conjugates in the same order
+        group = np.where(real_mask(ev), 0, np.where(ev.imag > 0.0, 1, 2))
+        ev = np.take_along_axis(ev, np.lexsort((np.abs(ev.imag), ev.real, group)), axis=-1)
+    idx = np.repeat(np.arange(len(ev)), ev.shape[-1])
+    rows = list(zip(idx.tolist(), (scale * ev.real).ravel().tolist(),
+                    (scale * ev.imag).ravel().tolist(), real_mask(ev).ravel().astype(int).tolist()))
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("sample_idx", "re", "im", "is_real"))
@@ -130,9 +136,9 @@ def density(beta, n, l, grid, out):
 
     beta=2: columns r, rho with rho the density at |z| = r.  beta=1: adds
     rho_real (real-axis density at x = r); rho is then the azimuthal average
-    of the complex-pair density over the upper half circle (16-node
-    Gauss-Legendre in the angle), so 2 pi r rho integrates to the expected
-    number of complex eigenvalues.
+    of the complex-pair density over the upper half circle (Gauss-Legendre
+    panels in the angle, graded toward the real axis), so 2 pi r rho
+    integrates to the expected number of complex eigenvalues.
     """
     params = EnsembleParams(N=n, L=l, beta=int(beta))
     r = _parse_grid(grid)
@@ -163,9 +169,14 @@ def kernel(beta, n, l, points, out, variant):
     """Matrix-kernel entries DS, S, IS (+ ordering term) for every point pair."""
     params = EnsembleParams(N=n, L=l, beta=int(beta))
     try:
-        pts_arr = np.loadtxt(points, delimiter=",", comments="#", ndmin=2)
+        with warnings.catch_warnings():
+            # an empty file is reported below, not as numpy's "no data" warning
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            pts_arr = np.loadtxt(points, delimiter=",", comments="#", ndmin=2)
     except ValueError as exc:
         raise click.UsageError(f"--points file is not numeric CSV: {exc}")
+    if pts_arr.size == 0:
+        raise click.UsageError("--points file holds no points")
     if pts_arr.shape[1] != 2:
         raise click.UsageError("--points file needs exactly two columns: re, im")
     zs = pts_arr[:, 0] + 1j * pts_arr[:, 1]
@@ -239,7 +250,7 @@ def channel(d, k, realizations, seed, out):
     runs = []
     for _ in range(realizations):
         phi = random_complementary_map(d, k, rng)
-        lam = quadratised_spectrum(phi).values()
+        lam = quadratised_spectrum(phi)
         runs.append({
             "trace_norm": float(np.sum(np.abs(phi.matrix) ** 2)),
             "eigenvalues": [[float(z.real), float(z.imag)] for z in lam],

@@ -268,12 +268,13 @@ def _gl_nodes(edges, order):
     """Gauss-Legendre rule of `order` nodes on each panel between consecutive edges.
 
     Returns node and weight arrays of shape (panels, order); summing
-    w * f(x) along the last axis integrates f over each panel.
+    w * f(x) along the last axis integrates f over each panel.  Edges with
+    leading axes (..., panels + 1) give one panel set per row, (..., panels, order).
     """
     base_x, base_w = np.polynomial.legendre.leggauss(order)
     edges = np.asarray(edges, dtype=float)
-    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    mid = 0.5 * (edges[..., :-1] + edges[..., 1:])[..., None]
+    half = 0.5 * (edges[..., 1:] - edges[..., :-1])[..., None]
     return mid + half * base_x, half * base_w
 
 

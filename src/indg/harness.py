@@ -13,16 +13,22 @@ complex factors: 33 draws at N+L = 22, one from N+L = 128 up.  Each index
 draws its Gaussian from its own stream; the chunk stacks the draws and runs
 each layer of the reduction (complete QR, polar SVD, product, eigvals) as one
 numpy call on the whole stack, whose rows are bit-identical to the per-matrix
-calls.  numpy's eigvals releases the GIL for a stack of k m x m matrices
-only when k*m > 500 (33 * 20 for hole-prob; never for a single matrix with
-m <= 500), so the worker threads (flag, else INDG_THREADS, else cpu
-count) run such chunks in parallel.  The samplers that consume one stream
-twice (sampler-equiv) and the channel maps loop over their indices inside a
-chunk.  A chunk that
-raises is rerun index by index, so the error names its sample.  The worker
-count and the chunking therefore change only the wall time, never the
-numbers; the canonical report payload excludes wall time so byte identity
-across worker counts can be asserted directly.
+calls.  sampler-equiv draws a polar and then a quadratised matrix from each
+index's stream and diagonalises the chunk's pairs in one call; the channel
+maps loop over their indices inside a chunk.  numpy's eigvals releases the
+GIL for a stack of k m x m matrices only when k*m > 500 (33 * 20 for
+hole-prob; never for a single matrix with m <= 500), so the worker threads
+(flag, else INDG_THREADS, else cpu count) run such chunks in parallel.  A
+chunk that raises is rerun index by index, so the error names its sample.
+The worker count and the chunking therefore change only the wall time, never
+the numbers; the canonical report payload excludes wall time so byte
+identity across worker counts can be asserted directly.
+
+A spectrum is the array linalg.eigenvalues returns, nothing else.  A chunk
+returns arrays with one row per index: eigenvalue rows, modulus rows
+(sampler-equiv) or eigenvalue rows plus a trace vector (channel-ring).  Each
+experiment reduces the concatenated rows with array expressions:
+np.histogram counts, real_mask sums, row minima, a masked maximum.
 """
 
 import csv
@@ -39,12 +45,11 @@ import numpy as np
 from . import complex_ensemble as cx
 from . import real_ensemble as re1
 from .channels import predicted_ring, quadratised_spectrum, random_complementary_map
-from .linalg import eigenvalues, eigvals_stack, real_mask, sample_gaussian
+from .linalg import eigenvalues, real_mask, sample_gaussian
 from .sampling import (EnsembleParams, sample_induced_polar, sample_induced_quadratise,
                        square_factors)
 
 __all__ = [
-    "RadialHistogram",
     "ExperimentReport",
     "EXPERIMENTS",
     "WorkerError",
@@ -55,57 +60,14 @@ __all__ = [
 ]
 
 DEFAULT_BINS = 64
-DEFAULT_RANGE = (0.0, 1.2)  # rescaled units, |lambda| / sqrt(N+L)
+# modulus bin edges in rescaled units, |lambda| / sqrt(N+L)
+_EDGES = np.linspace(0.0, 1.2, DEFAULT_BINS + 1)
 _BIN_ORDER = 12  # Gauss-Legendre nodes per histogram bin for the expectations
 # Byte budget of one chunk's stack of (N+L) x (N+L) complex factors: 33
 # draws of hole-prob's 22 x 22, one of anything from 128 x 128 up.  Half of
 # it (16 draws) stays under eigvals' GIL-release size and loses the overlap;
 # twice it doubles the stacks' memory for no speed.
 _CHUNK_BYTES = 256 * 1024
-
-
-@dataclass
-class RadialHistogram:
-    """Binned |eigenvalue| counts for one ensemble, in rescaled units.
-
-    counts[j] is the number of eigenvalues with edges[j] <= r < edges[j+1];
-    out_of_range collects the rest, so that counts.sum() + out_of_range is
-    exactly the number of binned eigenvalues (n_samples * N when every
-    eigenvalue is binned here; real eigenvalues may be binned separately).
-    """
-
-    edges: np.ndarray
-    counts: np.ndarray
-    out_of_range: int
-    n_samples: int
-    N: int
-    L: float
-    beta: int
-
-    @classmethod
-    def empty(cls, params, edges=None):
-        if edges is None:
-            edges = np.linspace(*DEFAULT_RANGE, DEFAULT_BINS + 1)
-        edges = np.asarray(edges, dtype=float)
-        if edges.ndim != 1 or len(edges) < 2 or np.any(np.diff(edges) <= 0):
-            raise ValueError("edges must be an ascending 1-D boundary array")
-        return cls(edges=edges, counts=np.zeros(len(edges) - 1, dtype=np.int64),
-                   out_of_range=0, n_samples=0,
-                   N=params.N, L=params.L, beta=params.beta)
-
-    def add(self, values, n_new_samples=1):
-        """Bin the radii (already rescaled) of n_new_samples samples."""
-        values = np.asarray(values, dtype=float)
-        hist, _ = np.histogram(values, bins=self.edges)
-        self.counts += hist
-        self.out_of_range += int(values.size - hist.sum())
-        self.n_samples += n_new_samples
-
-    def total_binned(self):
-        return int(self.counts.sum()) + self.out_of_range
-
-    def centers(self):
-        return 0.5 * (self.edges[:-1] + self.edges[1:])
 
 
 @dataclass
@@ -274,10 +236,10 @@ def _bins_within_3sigma(counts, expected):
     return int(np.sum(np.abs(counts - expected) <= 3.0 * sigma))
 
 
-def _bin_table(var, hist, expected):
-    """CSV rows: one (lo, hi, count, expected) row per bin of hist."""
+def _bin_table(var, edges, counts, expected):
+    """CSV rows: one (lo, hi, count, expected) row per bin."""
     return [(f"{var}_lo", f"{var}_hi", "count", "expected")] + list(
-        zip(hist.edges[:-1], hist.edges[1:], hist.counts.tolist(), expected))
+        zip(edges[:-1], edges[1:], counts.tolist(), expected))
 
 
 # --------------------------------------------------------------------------
@@ -299,7 +261,7 @@ def _spectra_chunk(params, master_seed, start, stop):
         G, ill = square_factors(G)
         for j in np.flatnonzero(ill):
             G[j] = sample_induced_quadratise(params, _index_rng(master_seed, start + j))
-    return eigvals_stack(G, params.beta)
+    return eigenvalues(G, params.beta)
 
 
 def _map_spectra(params, n_samples, workers, master_seed, salt=0):
@@ -310,22 +272,24 @@ def _map_spectra(params, n_samples, workers, master_seed, salt=0):
 
 
 def _sampler_pairs_chunk(params, master_seed, start, stop):
-    """|eigenvalues| of a polar and then a quadratised draw from each index's stream."""
-    polar, quad = [], []
+    """|eigenvalues| of a polar and then a quadratised draw from each index's stream.
+
+    Row j, of shape (2, N), holds the polar and the quadratised moduli of
+    index start + j.
+    """
+    draws = []
     for i in range(start, stop):
         rng = _index_rng(master_seed, i)
-        for out, sampler in ((polar, sample_induced_polar), (quad, sample_induced_quadratise)):
-            out.append(np.abs(eigenvalues(sampler(params, rng), beta=params.beta).values()))
-    return np.concatenate(polar), np.concatenate(quad)
+        draws.append([sample_induced_polar(params, rng), sample_induced_quadratise(params, rng)])
+    return np.abs(eigenvalues(np.stack(draws), params.beta))
 
 
 def _channel_chunk(geometry, master_seed, start, stop):
-    """Quadratised spectrum and squared norm of one random map of shape (d, k) per index."""
-    out = []
-    for i in range(start, stop):
-        phi = random_complementary_map(*geometry, _index_rng(master_seed, i))
-        out.append((quadratised_spectrum(phi).values(), float(np.sum(np.abs(phi.matrix) ** 2))))
-    return out
+    """Quadratised spectra (one row per index) and squared norms of random maps (d, k)."""
+    maps = [random_complementary_map(*geometry, _index_rng(master_seed, i))
+            for i in range(start, stop)]
+    return (np.stack([quadratised_spectrum(phi) for phi in maps]),
+            np.array([np.sum(np.abs(phi.matrix) ** 2) for phi in maps]))
 
 
 # --------------------------------------------------------------------------
@@ -336,19 +300,20 @@ def _exp_radial_density(master_seed, n_samples, workers):
     params = EnsembleParams(N=128, L=32, beta=2)
     scale = 1.0 / math.sqrt(params.N + params.L)
     ev = _map_spectra(params, n_samples, workers, master_seed)
-    hist = RadialHistogram.empty(params)
-    hist.add(np.abs(ev) * scale, n_samples)
-    expected = _expected_radial_complex(hist.edges, params, n_samples)
-    ok = _bins_within_3sigma(hist.counts, expected)
+    counts = np.histogram(np.abs(ev) * scale, bins=_EDGES)[0]
+    expected = _expected_radial_complex(_EDGES, params, n_samples)
+    ok = _bins_within_3sigma(counts, expected)
     meta = {"N": params.N, "L": params.L, "beta": 2, "n_samples": n_samples,
-            "bins": len(hist.counts)}
+            "bins": DEFAULT_BINS}
     report = ExperimentReport.build(
-        "radial-density", meta, "bins_within_3sigma", ok, len(hist.counts),
+        "radial-density", meta, "bins_within_3sigma", ok, DEFAULT_BINS,
         4.0, master_seed)
-    return [report], {"radial_histogram": _bin_table("r", hist, expected)}
+    return [report], {"radial_histogram": _bin_table("r", _EDGES, counts, expected)}
 
 
 def _exp_real_count(master_seed, n_samples, workers):
+    if n_samples < 2:
+        raise ValueError("real-count needs n_samples >= 2 for the standard error of its mean")
     reports, artifacts = [], {}
     for params, salt in ((EnsembleParams(N=128, L=32, beta=1), 0),
                          (EnsembleParams(N=128, L=0, beta=1), 10 ** 6)):
@@ -390,12 +355,10 @@ def _exp_sampler_equiv(master_seed, n_samples, workers):
     reports = []
     for beta, salt in ((1, 0), (2, 10 ** 6)):
         params = EnsembleParams(N=50, L=10, beta=beta)
-        drawn = _map_chunks(partial(_sampler_pairs_chunk, params, master_seed), n_samples,
-                            _chunk_length(params.N + params.require_integer_L()), workers,
-                            master_seed, salt)
-        polar = np.sort(np.concatenate([d[0] for d in drawn]))
-        quad = np.sort(np.concatenate([d[1] for d in drawn]))
-        t, p = ks_two_sample(polar, quad)
+        mods = np.concatenate(_map_chunks(
+            partial(_sampler_pairs_chunk, params, master_seed), n_samples,
+            _chunk_length(params.N + params.require_integer_L()), workers, master_seed, salt))
+        t, p = ks_two_sample(np.sort(mods[:, 0], axis=None), np.sort(mods[:, 1], axis=None))
         meta = {"N": params.N, "L": params.L, "beta": beta, "n_samples": n_samples,
                 "ks_statistic": t}
         reports.append(ExperimentReport.build(
@@ -408,22 +371,20 @@ def _exp_channel_ring(master_seed, n_samples, workers):
     reports, artifacts = [], {}
     for g, (d, k) in enumerate(geometries):
         r_in, r_out = predicted_ring(d, k)
-        drawn = [pair for chunk in _map_chunks(
+        spectra, traces = (np.concatenate(part) for part in zip(*_map_chunks(
             partial(_channel_chunk, (d, k), master_seed), n_samples,
-            _chunk_length(max(d, k) ** 2), workers, master_seed, g * 10 ** 6) for pair in chunk]
-        inside = total = 0
-        rows = [("realization", "re", "im")]
-        for i, (lam, _) in enumerate(drawn):
-            mod = np.abs(lam)
-            keep = np.delete(np.arange(mod.size), int(np.argmax(mod)))
-            inside += int(np.sum((mod[keep] >= r_in - 0.05) & (mod[keep] <= r_out + 0.05)))
-            total += keep.size
-            rows.extend((i, float(z.real), float(z.imag)) for z in lam)
-        traces = np.array([t for _, t in drawn])
+            _chunk_length(max(d, k) ** 2), workers, master_seed, g * 10 ** 6)))
+        # each map's leading eigenvalue (largest modulus) sits outside the ring
+        mod = np.abs(spectra)
+        mod = np.ma.masked_array(mod, np.arange(mod.shape[1]) == mod.argmax(axis=1)[:, None])
+        inside = ((mod >= r_in - 0.05) & (mod <= r_out + 0.05)).sum()
+        rows = [("realization", "re", "im")] + list(zip(
+            np.repeat(np.arange(n_samples), spectra.shape[1]).tolist(),
+            spectra.real.ravel().tolist(), spectra.imag.ravel().tolist()))
         meta = {"d": d, "k": k, "n_samples": n_samples,
                 "r_in": r_in, "r_out": r_out, "delta": 0.05}
         reports.append(ExperimentReport.build(
-            "channel-ring", meta, "annulus_containment", inside / total, 1.0, 0.1,
+            "channel-ring", meta, "annulus_containment", inside / mod.count(), 1.0, 0.1,
             master_seed))
         want = d * (k + 1) / k
         reports.append(ExperimentReport.build(
@@ -457,25 +418,24 @@ def _exp_real_density(master_seed, n_samples, workers):
     params = EnsembleParams(N=16, L=4, beta=1)
     scale = 1.0 / math.sqrt(params.N + params.L)
     ev = _map_spectra(params, n_samples, workers, master_seed)
-    radial = RadialHistogram.empty(params)
-    line = RadialHistogram.empty(params, edges=np.linspace(-1.2, 1.2, DEFAULT_BINS + 1))
+    line_edges = np.linspace(-1.2, 1.2, DEFAULT_BINS + 1)
     # dgeev returns each conjugate pair exactly, so both members are binned
-    radial.add(np.abs(ev) * scale, n_samples)
-    line.add(ev.real[real_mask(ev)] * scale, n_samples)
-    exp_radial = _expected_radial_real(radial.edges, params, n_samples)
-    exp_line = _expected_line_real(line.edges, params, n_samples)
+    radial = np.histogram(np.abs(ev) * scale, bins=_EDGES)[0]
+    line = np.histogram(ev.real[real_mask(ev)] * scale, bins=line_edges)[0]
+    exp_radial = _expected_radial_real(_EDGES, params, n_samples)
+    exp_line = _expected_line_real(line_edges, params, n_samples)
     meta = {"N": params.N, "L": params.L, "beta": 1, "n_samples": n_samples,
-            "bins": len(radial.counts)}
+            "bins": DEFAULT_BINS}
     reports = [
         ExperimentReport.build("real-density", meta, "radial_bins_within_3sigma",
-                               _bins_within_3sigma(radial.counts, exp_radial),
-                               len(radial.counts), 4.0, master_seed),
+                               _bins_within_3sigma(radial, exp_radial),
+                               DEFAULT_BINS, 4.0, master_seed),
         ExperimentReport.build("real-density", meta, "real_axis_bins_within_3sigma",
-                               _bins_within_3sigma(line.counts, exp_line),
-                               len(line.counts), 4.0, master_seed),
+                               _bins_within_3sigma(line, exp_line),
+                               DEFAULT_BINS, 4.0, master_seed),
     ]
-    artifacts = {"real_density_radial": _bin_table("r", radial, exp_radial),
-                 "real_density_axis": _bin_table("x", line, exp_line)}
+    artifacts = {"real_density_radial": _bin_table("r", _EDGES, radial, exp_radial),
+                 "real_density_axis": _bin_table("x", line_edges, line, exp_line)}
     return reports, artifacts
 
 

@@ -3,23 +3,21 @@ real/complex classification, PSD square root, and Pfaffians of antisymmetric
 matrices.
 
 Both ensembles get their spectrum from one LAPACK call, np.linalg.eigvals
-(dgeev).  For a real matrix dgeev reads each eigenvalue off a block of the
+(dgeev), on one matrix or a whole stack.  The package keeps a spectrum as
+dgeev's complex array, in dgeev's order, one row per matrix; nothing sorts or
+splits it.  For a real matrix dgeev reads each eigenvalue off a block of the
 real Schur form: a 1x1 block gives imaginary part exactly 0.0, a 2x2 block an
-exact conjugate pair x +- iy with y > 0.  The real/complex split of a beta=1
-spectrum reads that structure, never an imaginary-part threshold.
+exact conjugate pair x +- iy.  real_mask reads that structure, never an
+imaginary-part threshold, so a beta=1 real count is real_mask(ev).sum(-1).
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "Spectrum",
     "EigenConvergenceError",
     "sample_gaussian",
     "sample_haar_unitary",
     "eigenvalues",
-    "eigvals_stack",
     "real_mask",
     "psd_sqrt",
     "pfaffian",
@@ -29,59 +27,6 @@ __all__ = [
 
 class EigenConvergenceError(RuntimeError):
     """Eigenvalue iteration failed to converge; carries matrix context."""
-
-
-@dataclass
-class Spectrum:
-    """Eigenvalues of one sample, split into reals and conjugate-pair reps.
-
-    For beta=1 the split is structural (dgeev's imaginary part is exactly 0.0
-    for a 1x1 real Schur block): real_eigs holds those eigenvalues, sorted,
-    complex_pairs holds one (x, y) row per conjugate pair x +- iy with y > 0.
-    For beta=2 there is no conjugate symmetry: each eigenvalue is stored
-    individually as an (x, y) row with free sign of y and real_eigs stays empty.
-    """
-
-    real_eigs: np.ndarray
-    complex_pairs: np.ndarray  # shape (m, 2), columns (x, y)
-    source_dim: int
-    beta: int = 1
-
-    def __post_init__(self):
-        self.real_eigs = np.atleast_1d(np.asarray(self.real_eigs, dtype=float))
-        self.complex_pairs = np.asarray(self.complex_pairs, dtype=float).reshape(-1, 2)
-        self.validate()
-
-    def validate(self):
-        if self.beta == 1:
-            if len(self.real_eigs) + 2 * len(self.complex_pairs) != self.source_dim:
-                raise ValueError(
-                    "beta=1 spectrum must satisfy n_real + 2*n_pairs = N "
-                    f"(got {len(self.real_eigs)} + 2*{len(self.complex_pairs)} "
-                    f"!= {self.source_dim})"
-                )
-            if len(self.complex_pairs) and not np.all(self.complex_pairs[:, 1] > 0):
-                raise ValueError("beta=1 conjugate-pair representatives need y > 0")
-        elif self.beta == 2:
-            if len(self.real_eigs) != 0:
-                raise ValueError("beta=2 spectra store all eigenvalues in complex_pairs")
-            if len(self.complex_pairs) != self.source_dim:
-                raise ValueError("beta=2 spectrum must store N individual eigenvalues")
-        else:
-            raise ValueError(f"beta must be 1 or 2, got {self.beta}")
-
-    def values(self):
-        """All eigenvalues as one complex array (pairs expanded for beta=1)."""
-        z = self.complex_pairs[:, 0] + 1j * self.complex_pairs[:, 1]
-        if self.beta == 1:
-            return np.concatenate([self.real_eigs.astype(complex), z, np.conj(z)])
-        return z
-
-    def eig_sum(self):
-        """Sum of all eigenvalues; equals the trace of the source matrix."""
-        if self.beta == 1:
-            return self.real_eigs.sum() + 2.0 * self.complex_pairs[:, 0].sum()
-        return complex(self.values().sum())
 
 
 def sample_gaussian(rows, cols, beta, rng):
@@ -113,11 +58,12 @@ def sample_haar_unitary(n, beta, rng):
     return q * ph
 
 
-def eigvals_stack(G, beta):
+def eigenvalues(G, beta):
     """Eigenvalues of a square matrix or a stack (..., n, n), one dgeev call.
 
-    Returns the eigenvalues in dgeev's order, one row per matrix.  beta=1
-    requires real matrices; real_mask tells their real eigenvalues apart.
+    Returns dgeev's array in dgeev's order, one row per matrix.  beta=1
+    requires real matrices; real_mask tells their real eigenvalues apart,
+    and the others come as exact conjugate pairs x +- iy.
     """
     G = np.asarray(G)
     n = G.shape[-1]
@@ -140,29 +86,6 @@ def eigvals_stack(G, beta):
 def real_mask(ev):
     """The real eigenvalues of a real matrix among dgeev's output: imaginary part exactly 0.0."""
     return ev.imag == 0.0
-
-
-def eigenvalues(G, beta):
-    """Spectrum of a square matrix with structural real/complex split.
-
-    One np.linalg.eigvals (dgeev) call for either beta.  beta=1 requires a
-    real matrix: eigenvalues with imaginary part exactly 0.0 are the 1x1
-    blocks of the real Schur form, those with imaginary part > 0 stand for
-    the conjugate pairs of its 2x2 blocks (dgeev returns each pair as exact
-    conjugates).  beta=2 reports every eigenvalue individually (see Spectrum).
-    """
-    G = np.asarray(G)
-    if G.ndim != 2:
-        raise ValueError("eigenvalues needs a square matrix")
-    ev = eigvals_stack(G, beta)
-    n = len(ev)
-    if beta == 2:
-        return Spectrum(np.empty(0), np.column_stack([ev.real, ev.imag]), n, beta=2)
-    reals = np.sort(ev.real[real_mask(ev)])
-    pairs = ev[ev.imag > 0.0]
-    pairs = np.column_stack([pairs.real, pairs.imag])
-    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
-    return Spectrum(reals, pairs, n, beta=1)
 
 
 def psd_sqrt(S):

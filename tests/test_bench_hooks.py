@@ -45,3 +45,20 @@ def test_replay_table_matches_the_harness_draws(monkeypatch):
             want = {(params, offset + i)
                     for params, offset in tracing.REPLAY_ENSEMBLES[experiment] for i in range(n)}
         assert seen == want, experiment
+
+
+@pytest.mark.parametrize("experiment", [*tracing.REPLAY_ENSEMBLES, "channel-ring"])
+def test_serial_replay_runs_against_the_program(experiment):
+    # the traced benchmark replays run_mc's draws through linalg.eigenvalues
+    # and channels.quadratised_spectrum; a program change that breaks those
+    # calls fails here, not first in the benchmark
+    tracer = tracing.Tracer()
+    with tracer.enabled():
+        tracing.replay(tracer, experiment, 7, 1)
+    spans = tracer.arrays()
+    names = set(spans["names"][spans["name_id"]])
+    assert "harness.replay" in names
+    spectra = {"channels.quadratised_spectrum"} if experiment == "channel-ring" else {
+        f"linalg.eigenvalues_b{params.beta}" for params, _ in tracing.REPLAY_ENSEMBLES[experiment]}
+    assert spectra <= names, names
+    assert not spans["failed"].any()

@@ -84,7 +84,7 @@ def test_random_map_validation():
 def test_square_case_unit_eigenvalue():
     rng = np.random.default_rng(73)
     phi = random_complementary_map(6, 6, rng)
-    lam = quadratised_spectrum(phi).values()
+    lam = quadratised_spectrum(phi)
     assert len(lam) == 36
     assert np.min(np.abs(lam - 1.0)) < 1e-8
     assert np.max(np.abs(lam)) < 1.0 + 1e-8
@@ -94,8 +94,8 @@ def test_rectangular_spectrum_sizes():
     rng = np.random.default_rng(79)
     # k > d: the standing superoperator quadratises to d^2 eigenvalues;
     # k < d: its transpose is the standing one, giving k^2
-    assert len(quadratised_spectrum(random_complementary_map(3, 5, rng)).values()) == 9
-    assert len(quadratised_spectrum(random_complementary_map(5, 3, rng)).values()) == 9
+    assert len(quadratised_spectrum(random_complementary_map(3, 5, rng))) == 9
+    assert len(quadratised_spectrum(random_complementary_map(5, 3, rng))) == 9
 
 
 def test_predicted_ring_radii():
@@ -126,7 +126,7 @@ def test_ring_containment():
         r_in, r_out = predicted_ring(d, k)
         inside = total = 0
         for _ in range(4):
-            lam = quadratised_spectrum(random_complementary_map(d, k, rng)).values()
+            lam = quadratised_spectrum(random_complementary_map(d, k, rng))
             mod = np.abs(lam)
             mod = np.delete(mod, int(np.argmax(mod)))  # drop the leading eigenvalue
             inside += int(np.sum((mod >= r_in - 0.05) & (mod <= r_out + 0.05)))

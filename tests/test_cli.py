@@ -5,12 +5,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 from scipy.integrate import quad
+from scipy.linalg import block_diag
 
 import indg
 from indg import channels
@@ -82,6 +84,31 @@ def test_spectrum_round_trip_beta1(runner, tmp_path):
             assert (r[2] == 0.0) == bool(r[3])
 
 
+def _rotation_block(x, y):
+    return [[x, -y], [y, x]]
+
+
+def test_spectrum_beta1_row_order(runner, tmp_path):
+    # rows per sample: reals ascending, then the pair representatives (y > 0)
+    # by (x, y), then their conjugates in the same order; dgeev's own order
+    # differs.  The block entries make every eigenvalue exact.
+    M = block_diag(_rotation_block(0.5, 0.5625), 2.0, _rotation_block(-1.0, 1.0), -1.0,
+                   _rotation_block(0.5, 0.25), 0.5)
+    archive = str(tmp_path / "m.npz")
+    np.savez(archive, matrices=np.stack([M, -M]), N=9, L=0, beta=1)
+    out = str(tmp_path / "eig.csv")
+    res = runner.invoke(main, ["spectrum", "--in", archive, "--out", out])
+    assert res.exit_code == 0, res.output
+    rows = [(int(r[0]), float(r[1]), float(r[2]), int(r[3])) for r in read_csv(out)[1:]]
+    first = [(-1.0, 0.0, 1), (0.5, 0.0, 1), (2.0, 0.0, 1),
+             (-1.0, 1.0, 0), (0.5, 0.25, 0), (0.5, 0.5625, 0),
+             (-1.0, -1.0, 0), (0.5, -0.25, 0), (0.5, -0.5625, 0)]
+    second = [(-2.0, 0.0, 1), (-0.5, 0.0, 1), (1.0, 0.0, 1),
+              (-0.5, 0.25, 0), (-0.5, 0.5625, 0), (1.0, 1.0, 0),
+              (-0.5, -0.25, 0), (-0.5, -0.5625, 0), (1.0, -1.0, 0)]
+    assert rows == [(0, *r) for r in first] + [(1, *r) for r in second]
+
+
 def test_spectrum_rescale_flag(runner, tmp_path):
     out = str(tmp_path / "m.npz")
     runner.invoke(main, ["sample", "--beta", "2", "--n", "8", "--l", "2",
@@ -99,6 +126,11 @@ def test_spectrum_rejects_foreign_archive(runner, tmp_path):
     np.savez(bad, stuff=np.eye(2))
     res = runner.invoke(main, ["spectrum", "--in", bad, "--out", str(tmp_path / "x.csv")])
     assert res.exit_code == 2
+    # one matrix, not a [count, N, N] stack
+    np.savez(bad, matrices=np.eye(2), N=2, L=0, beta=2)
+    res = runner.invoke(main, ["spectrum", "--in", bad, "--out", str(tmp_path / "x.csv")])
+    assert res.exit_code == 2
+    assert "matrices not [count, N, N]" in res.output
     # not an npz at all -> clean usage error, not a traceback
     garbage = tmp_path / "garbage.npz"
     garbage.write_text("not an archive")
@@ -197,6 +229,16 @@ def test_kernel_rejects_bad_points(runner, tmp_path):
     res = runner.invoke(main, ["kernel", "--beta", "1", "--n", "8", "--l", "0",
                                "--points", str(pts), "--out", str(tmp_path / "k.csv")])
     assert res.exit_code == 2
+    # no points at all (empty, or comments only) -> that error, and no numpy warning
+    for text in ("", "# re,im\n"):
+        pts.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = runner.invoke(main, ["kernel", "--beta", "1", "--n", "8", "--l", "0",
+                                       "--points", str(pts), "--out", str(tmp_path / "k.csv")])
+        assert res.exit_code == 2
+        assert "--points file holds no points" in res.output
+        assert not caught, [str(w.message) for w in caught]
 
 
 def test_holeprob_stdout_and_file(runner, tmp_path):
@@ -386,6 +428,21 @@ def test_entry_point_usage_error_has_no_traceback(tmp_path):
     assert res.returncode == 2, res.stderr
     assert "Error:" in res.stderr and "matrix entries must be finite" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+def test_verify_real_count_one_sample_is_a_usage_error(tmp_path):
+    # one sample has no standard error: refused before any draw, so neither
+    # numpy's warnings nor a NaN tolerance reach the output
+    src = str(Path(indg.__file__).parents[1])
+    res = subprocess.run(
+        [sys.executable, "-m", "indg.cli", "verify", "--experiment", "real-count",
+         "--seed", "3", "--samples", "1", "--out", str(tmp_path / "mc")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert res.returncode == 2, res.stderr
+    assert "Error:" in res.stderr and "n_samples >= 2" in res.stderr
+    assert "RuntimeWarning" not in res.stderr
+    assert "NaN" not in res.stdout + res.stderr
+    assert not (tmp_path / "mc").exists()
 
 
 @pytest.mark.parametrize("smax", ["inf", "nan"])

@@ -12,7 +12,6 @@ from indg import sampling
 from indg.harness import (
     EXPERIMENTS,
     ExperimentReport,
-    RadialHistogram,
     WorkerError,
     _map_chunks,
     ks_two_sample,
@@ -20,7 +19,7 @@ from indg.harness import (
     resolve_workers,
     run_mc,
 )
-from indg.linalg import EigenConvergenceError, eigvals_stack, sample_gaussian
+from indg.linalg import EigenConvergenceError, eigenvalues, sample_gaussian
 from indg.sampling import EnsembleParams, quadratise, sample_induced_quadratise, square_factors
 
 
@@ -59,19 +58,6 @@ def test_ks_input_validation():
         ks_two_sample(np.array([]), np.array([1.0]))
     with pytest.raises(ValueError):
         ks_two_sample(np.array([2.0, 1.0]), np.array([1.0]))  # unsorted
-
-
-# ---------------------------------------------------------------- histogram
-
-def test_radial_histogram_conservation():
-    params = EnsembleParams(N=6, L=1, beta=2)
-    h = RadialHistogram.empty(params)
-    h.add(np.array([0.1, 0.5, 1.3, 0.9, 2.0, 0.2]))
-    assert h.total_binned() == 6  # nothing lost: in-range bins + out_of_range
-    assert int(h.counts.sum()) == 4
-    assert h.out_of_range == 2
-    assert h.n_samples == 1
-    assert len(h.centers()) == len(h.counts)
 
 
 # ---------------------------------------------------------------- reports
@@ -140,8 +126,8 @@ def test_square_factors_match_quadratise_bit_for_bit(M, N, beta):
 
 
 def _stacked_draws(monkeypatch):
-    # _spectra_chunk with eigvals_stack passed through returns the stacked G
-    monkeypatch.setattr(harness, "eigvals_stack", lambda G, beta: G)
+    # _spectra_chunk with eigenvalues passed through returns the stacked G
+    monkeypatch.setattr(harness, "eigenvalues", lambda G, beta: G)
     return harness._spectra_chunk
 
 
@@ -185,9 +171,9 @@ def test_failing_stacked_eigvals_names_the_salted_index(monkeypatch):
     def eigvals_failing_on_target(G, beta):
         if any(np.array_equal(g, target) for g in G):
             raise EigenConvergenceError("injected")
-        return eigvals_stack(G, beta)
+        return eigenvalues(G, beta)
 
-    monkeypatch.setattr(harness, "eigvals_stack", eigvals_failing_on_target)
+    monkeypatch.setattr(harness, "eigenvalues", eigvals_failing_on_target)
     # chunks of 33: index 35 sits inside the second chunk, not at its edge
     with pytest.raises(WorkerError, match=r"seed spawn \(19, \(1000035,\)\)") as info:
         harness._map_spectra(params, 40, 2, 19, salt=10 ** 6)
@@ -258,6 +244,8 @@ def test_experiment_registry_and_validation():
         run_mc("nope", 0, 1)
     with pytest.raises(ValueError):
         run_mc("hole-prob", 0, 0)
+    with pytest.raises(ValueError, match="n_samples >= 2"):
+        run_mc("real-count", 0, 1)  # one sample has no standard error
 
 
 def test_hole_prob_deterministic_across_workers():

@@ -10,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from indg.linalg import (
     EigenConvergenceError,
-    Spectrum,
     eigenvalues,
     pfaffian,
     pfaffian_sign_logmag,
     psd_sqrt,
+    real_mask,
     sample_gaussian,
     sample_haar_unitary,
 )
@@ -123,36 +123,40 @@ def test_pfaffian_input_validation():
 
 # ---------------------------------------------------------------- spectra
 
-def test_spectrum_validation():
-    with pytest.raises(ValueError):
-        Spectrum(np.array([1.0]), np.zeros((1, 2)), source_dim=4, beta=1)  # 1+2 != 4
-    with pytest.raises(ValueError):
-        Spectrum(np.array([1.0]), np.array([[0.5, -0.2]]), source_dim=3, beta=1)  # y<0
-    with pytest.raises(ValueError):
-        Spectrum(np.array([1.0]), np.zeros((1, 2)), source_dim=3, beta=2)  # reals in b2
-    with pytest.raises(ValueError):
-        Spectrum(np.empty(0), np.zeros((2, 2)), source_dim=3, beta=2)  # 2 != 3
-
-
-def test_spectrum_values_and_eig_sum():
-    s = Spectrum(np.array([0.5, -1.0]), np.array([[0.2, 0.9]]), source_dim=4, beta=1)
-    vals = s.values()
-    assert len(vals) == 4
-    assert np.isclose(s.eig_sum(), 0.5 - 1.0 + 2 * 0.2)
-    assert np.isclose(vals.sum().imag, 0.0)
+def assert_exact_conjugate_pairs(ev):
+    # the non-real eigenvalues of a real matrix: as many with y > 0 as with
+    # y < 0, each the exact conjugate of one of the others
+    upper, lower = ev[ev.imag > 0.0], ev[ev.imag < 0.0]
+    assert len(upper) + len(lower) == len(ev) - int(real_mask(ev).sum())
+    assert np.array_equal(np.sort_complex(upper.conj()), np.sort_complex(lower))
 
 
 def test_eigenvalues_beta1_matches_eigvals():
     rng = np.random.default_rng(7)
     for n in (3, 6, 11):
         G = rng.standard_normal((n, n))
-        spec = eigenvalues(G, beta=1)
-        got = np.sort_complex(spec.values())
+        ev = eigenvalues(G, beta=1)
+        got = np.sort_complex(ev)
         want = np.sort_complex(np.linalg.eigvals(G))
         assert np.allclose(got, want, atol=1e-8)
         # real-count parity: n_real = N - 2 n_pairs
-        assert (len(spec.real_eigs) - n) % 2 == 0
-        assert np.isclose(spec.eig_sum(), np.trace(G), atol=1e-10)
+        assert (int(real_mask(ev).sum()) - n) % 2 == 0
+        assert_exact_conjugate_pairs(ev)
+        assert np.isclose(ev.sum(), np.trace(G), atol=1e-10)
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("count, n", [(33, 20), (4, 128)])
+def test_eigenvalues_stack_rows_match_single_calls(beta, count, n):
+    # one dgeev call on a stack gives each row the bits of its own call
+    rng = np.random.default_rng(count * n + beta)
+    G = np.stack([sample_gaussian(n, n, beta, rng) for _ in range(count)])
+    ev = eigenvalues(G, beta=beta)
+    assert ev.shape == (count, n)
+    for j in range(count):
+        one = eigenvalues(G[j], beta=beta)
+        assert one.shape == (n,)
+        assert ev[j].astype(complex).tobytes() == one.astype(complex).tobytes()
 
 
 @pytest.mark.parametrize("N, L, draws", [(128, 0, 200), (16, 4, 300)])
@@ -170,10 +174,11 @@ def test_eigenvalues_beta1_real_count_matches_schur_blocks(N, L, draws):
         one_by_one = np.ones(N, dtype=bool)
         one_by_one[:-1] &= ~sub
         one_by_one[1:] &= ~sub
-        spec = eigenvalues(G, beta=1)
-        assert len(spec.real_eigs) == N - 2 * int(sub.sum())
+        ev = eigenvalues(G, beta=1)
+        reals = np.sort(ev.real[real_mask(ev)])
+        assert len(reals) == N - 2 * int(sub.sum())
         scale = np.abs(np.diag(T)).max()
-        assert np.allclose(spec.real_eigs, np.sort(np.diag(T)[one_by_one]),
+        assert np.allclose(reals, np.sort(np.diag(T)[one_by_one]),
                            rtol=0, atol=1e-12 * scale)
 
 
@@ -181,16 +186,16 @@ def test_eigenvalues_beta1_structured_matrices():
     rng = np.random.default_rng(23)
     # triangular: every eigenvalue real, and exactly the diagonal
     U = np.triu(rng.standard_normal((7, 7)))
-    spec = eigenvalues(U, beta=1)
-    assert np.array_equal(spec.real_eigs, np.sort(np.diag(U)))
-    assert len(spec.complex_pairs) == 0
+    ev = eigenvalues(U, beta=1)
+    assert real_mask(ev).all()
+    assert np.array_equal(np.sort(ev.real), np.sort(np.diag(U)))
     # symmetric: every eigenvalue real
     for n in (5, 40):
         B = rng.standard_normal((n, n))
         S = B + B.T
-        spec = eigenvalues(S, beta=1)
-        assert len(spec.real_eigs) == n
-        assert np.allclose(spec.real_eigs, np.linalg.eigvalsh(S), atol=1e-10 * n)
+        ev = eigenvalues(S, beta=1)
+        assert real_mask(ev).all()
+        assert np.allclose(np.sort(ev.real), np.linalg.eigvalsh(S), atol=1e-10 * n)
     # 2x2 rotation blocks, hidden by an orthogonal change of basis: no reals
     angles = np.array([0.3, 1.1, 2.0, 2.9])
     R = np.zeros((8, 8))
@@ -198,15 +203,18 @@ def test_eigenvalues_beta1_structured_matrices():
         R[2 * j:2 * j + 2, 2 * j:2 * j + 2] = [[np.cos(t), -np.sin(t)],
                                                [np.sin(t), np.cos(t)]]
     Q = sample_haar_unitary(8, 1, rng)
-    spec = eigenvalues(Q @ R @ Q.T, beta=1)
-    assert len(spec.real_eigs) == 0
+    ev = eigenvalues(Q @ R @ Q.T, beta=1)
+    assert not real_mask(ev).any()
+    assert_exact_conjugate_pairs(ev)
+    reps = ev[ev.imag > 0.0]
+    reps = np.column_stack([reps.real, reps.imag])[np.lexsort((reps.imag, reps.real))]
     want = np.column_stack([np.cos(angles), np.sin(angles)])
-    assert np.allclose(spec.complex_pairs, want[np.argsort(want[:, 0])], atol=1e-12)
+    assert np.allclose(reps, want[np.argsort(want[:, 0])], atol=1e-12)
     # Jordan block: one defective eigenvalue, all copies real
     J = 1.5 * np.eye(5) + np.eye(5, k=1)
-    spec = eigenvalues(J, beta=1)
-    assert np.array_equal(spec.real_eigs, np.full(5, 1.5))
-    assert len(spec.complex_pairs) == 0
+    ev = eigenvalues(J, beta=1)
+    assert real_mask(ev).all()
+    assert np.array_equal(ev.real, np.full(5, 1.5))
 
 
 def test_eigenvalues_one_lapack_call(monkeypatch):
@@ -239,9 +247,9 @@ def test_import_leaves_scipy_linalg_unloaded():
 def test_eigenvalues_beta2_trace():
     rng = np.random.default_rng(9)
     G = sample_gaussian(20, 20, 2, rng)
-    spec = eigenvalues(G, beta=2)
-    assert len(spec.values()) == 20
-    assert np.isclose(spec.eig_sum(), np.trace(G), atol=1e-10)
+    ev = eigenvalues(G, beta=2)
+    assert ev.shape == (20,)
+    assert np.isclose(ev.sum(), np.trace(G), atol=1e-10)
 
 
 def test_eigenvalues_input_validation():
@@ -253,6 +261,17 @@ def test_eigenvalues_input_validation():
         eigenvalues(np.eye(2) * (1 + 1j), beta=1)  # complex input for beta=1
     with pytest.raises(ValueError):
         eigenvalues(np.eye(2), beta=3)
+    # the same checks on stacks: every matrix square, every entry finite, real for beta=1
+    with pytest.raises(ValueError, match="square"):
+        eigenvalues(np.zeros((3, 2, 3)), beta=2)
+    with pytest.raises(ValueError, match="square"):
+        eigenvalues(np.zeros(3), beta=2)
+    stack = np.stack([np.eye(2)] * 3)
+    stack[2, 0, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        eigenvalues(stack, beta=1)
+    with pytest.raises(ValueError, match="real matrix"):
+        eigenvalues(np.stack([np.eye(2), 1j * np.eye(2)]), beta=1)
 
 
 # ---------------------------------------------------------------- psd_sqrt

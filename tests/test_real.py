@@ -290,6 +290,20 @@ def test_density_complex_azimuthal_vs_quadrature():
         density_complex_azimuthal(-0.5, params)
 
 
+@pytest.mark.parametrize("N, L, r", [(8, 2.0, 2.5), (16, 4.0, 5.4), (128, 32.0, 13.6),
+                                     (1000, 32.0, 32.0)])
+def test_density_complex_azimuthal_resolves_the_axis_layer(N, L, r):
+    # the depletion layer next to the real axis has angular width ~1/r; the
+    # adaptive reference gets break points at its edges
+    params = P1(N, L)
+    got = density_complex_azimuthal(r, params)
+    f = lambda t: float(density_complex(r * np.exp(1j * t), params))  # noqa: E731
+    cuts = [0.0, 1.0 / r, 0.5 * math.pi, math.pi - 1.0 / r, math.pi]
+    want = sum(quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+               for a, b in zip(cuts[:-1], cuts[1:]))
+    assert abs(got - want) <= 1e-9 * want, (got, want)
+
+
 def test_density_domain_errors():
     params = P1(4, 1.0)
     with pytest.raises(ValueError):
@@ -659,7 +673,7 @@ def mc_real_counts(N, L, n_samples, seed):
     rng = np.random.default_rng(seed)
     params = P1(N, L)
     return np.array([
-        len(linalg.eigenvalues(sample_induced_quadratise(params, rng), beta=1).real_eigs)
+        linalg.real_mask(linalg.eigenvalues(sample_induced_quadratise(params, rng), beta=1)).sum()
         for _ in range(n_samples)], dtype=float)
 
 
@@ -690,8 +704,8 @@ def test_mc_real_axis_histogram():
     bins = np.linspace(-3.5, 3.5, 8)
     counts = np.zeros(len(bins) - 1)
     for _ in range(n_samples):
-        spec = linalg.eigenvalues(sample_induced_quadratise(params, rng), beta=1)
-        counts += np.histogram(spec.real_eigs, bins=bins)[0]
+        ev = linalg.eigenvalues(sample_induced_quadratise(params, rng), beta=1)
+        counts += np.histogram(ev.real[linalg.real_mask(ev)], bins=bins)[0]
     for i in range(len(bins) - 1):
         expect, _ = quad(lambda t: float(density_real(t, params)),
                          bins[i], bins[i + 1], limit=200)

@@ -158,8 +158,8 @@ def test_polar_and_quadratise_routes_agree_in_law():
         rng = np.random.default_rng(41 + beta)
         m_polar, m_quad = [], []
         for _ in range(n_samples):
-            m_polar.append(np.abs(eigenvalues(sample_induced_polar(params, rng), beta).values()))
-            m_quad.append(np.abs(eigenvalues(sample_induced_quadratise(params, rng), beta).values()))
+            m_polar.append(np.abs(eigenvalues(sample_induced_polar(params, rng), beta)))
+            m_quad.append(np.abs(eigenvalues(sample_induced_quadratise(params, rng), beta)))
         t, p = ks_two_sample(np.sort(np.concatenate(m_polar)),
                              np.sort(np.concatenate(m_quad)))
         assert p > 1e-3, (beta, t, p)
