@@ -162,10 +162,7 @@ def density(beta, n, l, grid, out):
 @click.option("--points", type=click.Path(exists=True, dir_okay=False), required=True,
               help="CSV of points, one 're,im' row each ('#' comments allowed)")
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
-@click.option("--variant", type=click.Choice(["theorem", "appendix"]),
-              default="theorem", show_default=True,
-              help="normalization variant of the finite-rank correction term")
-def kernel(beta, n, l, points, out, variant):
+def kernel(beta, n, l, points, out):
     """Matrix-kernel entries DS, S, IS (+ ordering term) for every point pair."""
     params = EnsembleParams(N=n, L=l, beta=int(beta))
     try:
@@ -180,7 +177,7 @@ def kernel(beta, n, l, points, out, variant):
     if pts_arr.shape[1] != 2:
         raise click.UsageError("--points file needs exactly two columns: re, im")
     zs = pts_arr[:, 0] + 1j * pts_arr[:, 1]
-    e = re1.kernel_entries(zs[:, None], zs[None, :], params, variant=variant)
+    e = re1.kernel_entries(zs[:, None], zs[None, :], params)
     m = len(zs)
     i, j = np.divmod(np.arange(m * m), m)
     cols = [i, j, e.DS.real, e.DS.imag, e.S.real, e.S.imag, e.IS.real, e.IS.imag, e.eps]

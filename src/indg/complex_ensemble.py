@@ -252,15 +252,15 @@ def default_rmax(params):
     return float(np.sqrt(params.N + params.L) + 8.0)
 
 
-def integrate_radial(f, rmax, points_per_unit=24):
+def integrate_radial(f, rmax):
     """integral_0^rmax f(r) 2 pi r dr by composite Gauss-Legendre panels.
 
     f must be vectorized in r.  Unit-width panels keep the rule accurate
-    however large the ring is.
+    however large the ring is; each carries 24 nodes.
     """
     if rmax <= 0:
         raise ValueError("rmax must be > 0")
-    r, wts = _gl_panels(0.0, rmax, width=1.0, order=points_per_unit)
+    r, wts = _gl_panels(0.0, rmax, width=1.0, order=24)
     return float(np.sum(wts * 2.0 * np.pi * r * np.asarray(f(r), dtype=float)))
 
 

@@ -31,12 +31,9 @@ Conventions
   kernel_entries folds a lower-half input onto its conjugate representative;
   the correlation routines insist on Im > 0.
 * Everything runs in log space, so N of several hundred stays finite.
-* The t helper ships with the Gamma(L)-denominator normalisation
-  (variant="theorem").  The printed sources disagree on this constant; the
-  shipped default is the one that reproduces the known square-case real
-  eigenvalue counts (sqrt(2) at N=2, 11*sqrt(2)/8 at N=4) and Monte Carlo
-  histograms.  The alternative Gamma(L+1) form stays available behind
-  variant="appendix" for comparison.
+* The t helper divides by Gamma(L) (printed sources also show Gamma(L+1)):
+  only Gamma(L) reproduces the square-case real eigenvalue counts (sqrt(2)
+  at N=2, 11*sqrt(2)/8 at N=4) and sampled counts and histograms.
 """
 
 from __future__ import annotations
@@ -146,29 +143,11 @@ def _s_series(zeta, ld, N, L):
     return np.exp(ld + log_exp_series(zeta, N - 1, L) - _HALF_LOG_2PI)
 
 
-def _require_variant(variant: str):
-    if variant not in ("theorem", "appendix"):
-        raise ValueError(f"unknown t variant {variant!r}")
-
-
-def _require_finite_t(L, variant, *points):
-    """Reject the appendix t at L=0 on a real argument 0, where E1(x^2/2) diverges."""
-    if variant == "appendix" and L == 0 and any(np.any(p == 0) for p in points):
-        raise ValueError("variant 'appendix' at L=0 diverges at a real argument 0: "
-                         "its t term is E1(x^2/2)/2, log-divergent at x=0")
-
-
-def _t(x, z, L, variant):
+def _t(x, z, L):
     """t(x, z) elementwise, complex-valued; see helper_t."""
-    _require_variant(variant)
     if L == 0:
-        if variant == "theorem":
-            return np.zeros(np.broadcast(x, z).shape, dtype=complex)
-        with np.errstate(divide="ignore"):
-            log_x = np.log(0.5 * sp.exp1(0.5 * x * x))
-    else:
-        denom = log_gamma(L) if variant == "theorem" else log_gamma(L + 1.0)
-        log_x = _log_half_moment(L - 1.0, x, tail=True) - denom
+        return np.zeros(np.broadcast(x, z).shape, dtype=complex)
+    log_x = _log_half_moment(L - 1.0, x, tail=True) - log_gamma(L)
     return np.exp(log_x - _HALF_LOG_2PI + _log_dress(z, L))
 
 
@@ -195,21 +174,17 @@ def helper_sN(z, w, params: EnsembleParams):
     return _finish(_s_series(a * b, ld, params.N, params.L), z, w)
 
 
-def helper_t(x, z, params: EnsembleParams, variant: str = "theorem"):
+def helper_t(x, z, params: EnsembleParams):
     """Upper-incomplete-gamma correction term t(x, z).
 
     t(x, z) = (2*pi)^{-1/2} * D(z) * 2^{L/2-1} * Gamma(L/2, x^2/2) / Gamma(L)
     with the gamma function evaluated at the (real) first argument and the
-    dressing D at the second.  variant="appendix" swaps the denominator for
-    Gamma(L+1); see the module docstring for why "theorem" is the default.
-    At L=0 the default variant vanishes identically (the 1/Gamma(L) limit),
-    while "appendix" degenerates to the exponential-integral form
-    E1(x^2/2)/2, which diverges at x=0: that point raises ValueError.
-    Broadcast over array arguments; real-valued when z is real.
+    dressing D at the second.  At L=0 it vanishes identically (the
+    1/Gamma(L) limit).  Broadcast over array arguments; real-valued when z
+    is real.
     """
     _require_real_even(params)
-    _require_finite_t(params.L, variant, np.asarray(x))
-    val = _t(np.asarray(x, dtype=float), np.asarray(z, dtype=complex), params.L, variant)
+    val = _t(np.asarray(x, dtype=float), np.asarray(z, dtype=complex), params.L)
     return _finish(val, z)
 
 
@@ -331,39 +306,35 @@ def _scalar_if(e: RealKernelEntries, a, b) -> RealKernelEntries:
                              eps=float(e.eps))
 
 
-def _kernel_arrays(a, b, params: EnsembleParams, variant: str = "theorem") -> RealKernelEntries:
+def _kernel_arrays(a, b, params: EnsembleParams) -> RealKernelEntries:
     """Array core of kernel_entries: entries over broadcast point arrays a, b.
 
     The terms that only some flavours use are skipped when no pair needs
     them, which keeps a scalar call to the work of its own flavour.
     """
     _require_real_even(params)
-    _require_variant(variant)
     N, L = params.N, params.L
     a, b = _upper(a), _upper(b)
-    _require_finite_t(L, variant, a, b)
     a_real, b_real = a.imag == 0.0, b.imag == 0.0
     lda, ldb = _log_dress(a, L), _log_dress(b, L)
     s = _s_series(a * b, lda + ldb, N, L)
     sc = _s_series(a * b.conj(), lda + ldb.conj(), N, L) if not b_real.all() else s
-    u_ba = _r(b.real, a, N, L) + _t(b.real, a, L, variant) if b_real.any() else 0.0
-    u_ab = _r(a.real, b, N, L) + _t(a.real, b, L, variant) if a_real.any() else 0.0
+    u_ba = _r(b.real, a, N, L) + _t(b.real, a, L) if b_real.any() else 0.0
+    u_ab = _r(a.real, b, N, L) + _t(a.real, b, L) if a_real.any() else 0.0
     is_rr = _is_real_real(a.real, b.real, params) if (a_real & b_real).any() else 0.0
     return _block_entries(a, b, s, sc, u_ba, u_ab, is_rr)
 
 
-def kernel_entries(a, b, params: EnsembleParams, variant: str = "theorem") -> RealKernelEntries:
+def kernel_entries(a, b, params: EnsembleParams) -> RealKernelEntries:
     """Kernel block entries for an ordered argument pair (a, b).
 
     Arguments may be real or complex; a complex argument with Im < 0 is
     folded onto its upper-half-plane conjugate representative.  DS and IS
     are antisymmetric under (a, b) swap; for two real arguments all entries
     are real-valued.  Array arguments broadcast against each other and give
-    arrays of entries; scalar arguments give Python scalars.  With
-    variant="appendix" at L=0 an argument exactly 0 raises ValueError: the
-    t term there is E1(x^2/2)/2, which diverges at x=0 (see helper_t).
+    arrays of entries; scalar arguments give Python scalars.
     """
-    return _scalar_if(_kernel_arrays(a, b, params, variant), a, b)
+    return _scalar_if(_kernel_arrays(a, b, params), a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +390,7 @@ def density_complex_azimuthal(r, params: EnsembleParams):
     return float(out) if out.ndim == 0 else out
 
 
-def density_real(x, params: EnsembleParams, variant: str = "theorem"):
+def density_real(x, params: EnsembleParams):
     """Mean density of real eigenvalues at x.
 
     rho_R(x) = (2*pi)^{-1/2} [P(L, x^2) - P(L+N-1, x^2)] + t(x, x) + r_N(x, x),
@@ -430,7 +401,7 @@ def density_real(x, params: EnsembleParams, variant: str = "theorem"):
     x = np.asarray(x, dtype=float)
     u = x * x
     bulk = (_reg_p(L, u) - lower_reg_gamma(L + N - 1.0, u)) / math.sqrt(2.0 * math.pi)
-    val = bulk + helper_t(x, x, params, variant) + helper_rN(x, x, params)
+    val = bulk + helper_t(x, x, params) + helper_rN(x, x, params)
     return float(val) if np.ndim(val) == 0 else val
 
 
@@ -514,38 +485,17 @@ def log_jpdf_real_partial(reals, complexes, params: EnsembleParams) -> float:
         raise ValueError("complex eigenvalue representatives must satisfy Im z > 0")
 
     j = np.arange(1, N + 1, dtype=float)
-    out = (l - N * (N + 1) / 4.0 - N * L / 2.0) * _LOG2 - float(
-        np.sum(sp.gammaln(0.5 * (L + j)))
-    )
+    out = ((l - N * (N + 1) / 4.0 - N * L / 2.0) * _LOG2
+           - float(np.sum(log_gamma(0.5 * (L + j)))))
 
     lam = np.concatenate([reals.astype(complex), complexes, complexes.conj()])
     ii, jj = np.triu_indices(N, k=1)
-    diffs = np.abs(lam[ii] - lam[jj])
-    if np.any(diffs == 0.0):
-        return -math.inf
-    out += float(np.sum(np.log(diffs)))
-
-    if k:
-        ax = np.abs(reals)
-        if np.any(ax == 0.0) and L > 0:
-            return -math.inf
-        with np.errstate(divide="ignore"):
-            out += float(np.sum(L * np.log(ax) - 0.5 * reals**2))
-    if l:
-        xs, ys = complexes.real, complexes.imag
-        mod2 = xs**2 + ys**2
-        if np.any(mod2 == 0.0) and L > 0:
-            return -math.inf
-        with np.errstate(divide="ignore"):
-            out += float(
-                np.sum(
-                    np.log(sp.erfc(math.sqrt(2.0) * ys))
-                    + ys**2
-                    - xs**2
-                    + L * np.log(mod2)
-                )
-            )
-    return out
+    with np.errstate(divide="ignore"):
+        out += float(np.sum(np.log(np.abs(lam[ii] - lam[jj]))))
+    # point weights: the dressing psi(x)|x|^L per real, |psi(z) z^L|^2 per pair;
+    # a zero weight or a coincidence gives -inf through the sums
+    weight = _log_dress(lam[:k + l], L).real
+    return out + float(np.sum(weight[:k])) + 2.0 * float(np.sum(weight[k:]))
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +524,12 @@ def skew_poly_norm(j: int, L: float) -> float:
     return 2.0 * math.sqrt(2.0 * math.pi) * math.exp(log_gamma(L + 2.0 * j + 1.0))
 
 
-def skew_inner(f, g, L: float, *, half_width: float = 13.0, order: int = 24) -> float:
+# skew_inner's tensor rule: Gauss-Legendre panels on |x| <= 13 and 0 < y <= 13
+_SKEW_HALF_WIDTH = 13.0
+_SKEW_ORDER = 24
+
+
+def skew_inner(f, g, L: float) -> float:
     """Numeric skew-symmetric inner product (f, g) = (f, g)_R + (f, g)_C.
 
     f and g are ascending coefficient arrays of real-coefficient polynomials.
@@ -590,7 +545,7 @@ def skew_inner(f, g, L: float, *, half_width: float = 13.0, order: int = 24) -> 
     f = np.atleast_1d(np.asarray(f, dtype=float))
     g = np.atleast_1d(np.asarray(g, dtype=float))
 
-    xs, ws = _gl_panels(-half_width, half_width, order=order)
+    xs, ws = _gl_panels(-_SKEW_HALF_WIDTH, _SKEW_HALF_WIDTH, order=_SKEW_ORDER)
     wx = np.exp(-0.5 * xs * xs) * np.abs(xs) ** L
     fx = np.polynomial.polynomial.polyval(xs, f)
     b = np.arange(g.size)
@@ -601,7 +556,7 @@ def skew_inner(f, g, L: float, *, half_width: float = 13.0, order: int = 24) -> 
     upper = np.where(xs[:, None] >= 0.0, tail, total - parity * tail)
     real_part = float(np.sum(ws * wx * fx * (2.0 * (upper @ g) - total @ g)))
 
-    ys, wy = _gl_panels(1e-12, half_width, order=order)
+    ys, wy = _gl_panels(1e-12, _SKEW_HALF_WIDTH, order=_SKEW_ORDER)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     WXY = np.outer(ws, wy)
     Z = X + 1j * Y
@@ -739,7 +694,7 @@ def density_real_origin_limit(x, L: float):
     not depend on N; reduces to the constant 1/sqrt(2 pi) at L=0.
     """
     x = np.asarray(x, dtype=float)
-    val = _reg_p(L, x * x) / math.sqrt(2.0 * math.pi) + _t(x, x, L, "theorem").real
+    val = _reg_p(L, x * x) / math.sqrt(2.0 * math.pi) + _t(x, x, L).real
     return float(val) if val.ndim == 0 else val
 
 
@@ -756,12 +711,12 @@ def density_complex_origin_limit(z, L: float):
     return float(val) if np.ndim(val) == 0 else val
 
 
-def expected_real_count(params: EnsembleParams, variant: str = "theorem") -> float:
+def expected_real_count(params: EnsembleParams) -> float:
     """Mean number of real eigenvalues: integral of density_real over the line."""
     _require_real_even(params)
     rmax = math.sqrt(params.N + params.L) + 10.0
     x, w = _gl_panels(0.0, rmax, width=1.0, order=24)
-    return 2.0 * float(np.sum(w * density_real(x, params, variant)))
+    return 2.0 * float(np.sum(w * density_real(x, params)))
 
 
 def real_count_leading_order(N: int, L: float) -> float:

@@ -33,6 +33,7 @@ from indg.real_ensemble import (
     density_complex,
     density_real,
     expected_real_count,
+    helper_t,
     kernel_entries,
     limit_kernel_entries,
 )
@@ -168,8 +169,9 @@ def test_criterion_06_sampler_equivalence():
 
 def test_criterion_07_real_kernel_diagonal_consistency():
     # S_N(x,x) from the kernel assembly equals the closed-form real density
-    # to 1e-10 on a 40-point grid; the correction-term variant flag is pinned
-    # by this plus the N=16 counting identity.
+    # to 1e-10 on a 40-point grid.  The printed Gamma(L+1) denominator of the
+    # correction term, t_app = t / L, is built here and must fail both this
+    # identity and the N=16 count.
     grid = np.linspace(-5.0, 5.0, 40)
     worst = {}
     for N, L in ((8, 0.0), (8, 2.0), (16, 4.0)):
@@ -179,17 +181,19 @@ def test_criterion_07_real_kernel_diagonal_consistency():
             for x in grid)
     params16 = EnsembleParams(N=16, L=4.0, beta=1)
     worst_app = max(
-        abs(kernel_entries(x, x, params16, variant="appendix").S.real
-            - density_real(x, params16))
+        abs(kernel_entries(x, x, params16).S.real
+            - (1.0 - 1.0 / params16.L) * helper_t(x, x, params16) - density_real(x, params16))
         for x in grid)
     p = EnsembleParams(N=16, L=2.0, beta=1)
-    count_gap = abs(expected_real_count(p, variant="theorem")
-                    - expected_real_count(p, variant="appendix"))
+    xs, ws = _gl_panels(0.0, math.sqrt(p.N + p.L) + 10.0, width=1.0, order=24)
+    count_app = (expected_real_count(p)
+                 - (1.0 - 1.0 / p.L) * 2.0 * float(np.sum(ws * helper_t(xs, xs, p))))
+    count_gap = abs(expected_real_count(p) - count_app)
     ok = (max(worst.values()) < 1e-10 and worst_app > 1e-3
           and count_gap > 0.1)
     _line(7, "real kernel diagonal consistency", ok,
           f"worst |S(x,x)-rho| {max(worst.values()):.2e} (tol 1e-10); "
-          f"appendix variant deviates {worst_app:.2e}, "
+          f"Gamma(L+1) form deviates {worst_app:.2e}, "
           f"count gap {count_gap:.3f}")
     for key, dev in worst.items():
         assert dev < 1e-10, (key, dev)

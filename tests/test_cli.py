@@ -201,21 +201,6 @@ def test_kernel_command(runner, tmp_path):
         assert np.allclose(got, want, rtol=1e-12, atol=1e-15), (i, j)
 
 
-def test_kernel_variant_flag(runner, tmp_path):
-    pts = tmp_path / "pts.csv"
-    with open(pts, "w") as fh:
-        fh.write("0.4,0.0\n")
-    outs = {}
-    for variant in ("theorem", "appendix"):
-        out = str(tmp_path / f"k_{variant}.csv")
-        res = runner.invoke(main, ["kernel", "--beta", "1", "--n", "8", "--l", "2",
-                                   "--points", str(pts), "--out", out,
-                                   "--variant", variant])
-        assert res.exit_code == 0, res.output
-        outs[variant] = float(read_csv(out)[1][4])  # S entry, real part
-    assert abs(outs["theorem"] - outs["appendix"]) > 1e-6
-
-
 def test_kernel_rejects_bad_points(runner, tmp_path):
     pts = tmp_path / "pts.csv"
     with open(pts, "w") as fh:
@@ -360,8 +345,9 @@ def test_numeric_error_classification():
      "restricted to even matrix dimension"),
     (["kernel", "--beta", "1", "--n", "7", "--l", "2"],
      "restricted to even matrix dimension"),
-    (["kernel", "--beta", "1", "--n", "8", "--l", "0", "--variant", "appendix"],
-     "diverges at a real argument 0"),
+    # the correction term has one normalisation, so kernel takes no --variant
+    (["kernel", "--beta", "1", "--n", "8", "--l", "0", "--variant", "theorem"],
+     "No such option '--variant'"),
     (["spectrum", NAN_ARCHIVE], "matrix entries must be finite"),
     (["spectrum", BETA3_ARCHIVE], "beta must be 1 or 2, got 3"),
     (["holeprob", "--n", "20", "--l", "2", "--smax", "inf", "--steps", "4"],

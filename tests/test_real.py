@@ -1,6 +1,7 @@
 """Pfaffian (beta=1) finite-N statistics: kernel entries against definitional
 sums, densities, joint-density cross-checks, counts, limits, Monte Carlo."""
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -314,8 +315,6 @@ def test_density_domain_errors():
         kernel_entries(0.1, 0.2, P1(5, 1.0))
     with pytest.raises(ValueError):
         density_real(0.5, EnsembleParams(N=4, L=1.0, beta=2))
-    with pytest.raises(ValueError):
-        kernel_entries(0.1, 0.2, params, variant="nope")
 
 
 def test_sum_rule():
@@ -388,6 +387,24 @@ def test_correlations_equal_partial_jpdf_n2():
             assert abs(lhs - rhs) < 1e-10 * max(1e-8, rhs), (L, z)
         # two complex points exceed the N=2 budget: R_{0,2} = 0
         assert abs(correlations_pfaffian([], [0.5 + 0.8j, -0.3 + 1.1j], params)) < 1e-12
+
+
+def test_log_jpdf_real_partial_at_a_zero_real_and_far_from_the_axis():
+    # N=2, L=0: a real eigenvalue 0 carries the weight |0|^0 = 1, and far
+    # from the axis erfc(sqrt(2) y) underflows while its log stays finite
+    params = P1(2, 0.0)
+    with mpmath.workdps(40):
+        base = -1.5 * mpmath.log(2) - mpmath.loggamma(0.5)
+        want = {((0.0, 1.0), ()): base - mpmath.mpf(1) / 2}
+        for y in (19, 27):
+            z = mpmath.mpf(1) / 10 + 1j * y
+            want[(), (z,)] = (base + mpmath.log(2) + mpmath.log(2 * y)
+                              + mpmath.log(mpmath.erfc(mpmath.sqrt(2) * y)) + y**2 - z.real**2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for (reals, complexes), w in want.items():
+            got = log_jpdf_real_partial(list(reals), [complex(c) for c in complexes], params)
+            assert abs(got - float(w)) <= 1e-12 * abs(float(w)), (reals, complexes, got, w)
 
 
 def test_jpdf_normalization_and_real_pair_probability():
@@ -685,14 +702,15 @@ def test_mc_real_count_64_16():
 
 
 def test_mc_variant_arbitration_16_2():
-    # the sampled real-eigenvalue count picks the "theorem" normalization of
-    # the correction term and excludes the "appendix" one
+    # the sampled real-eigenvalue count picks the Gamma(L) normalization of
+    # the correction term t and excludes the printed Gamma(L+1) one, t / L
     counts = mc_real_counts(16, 2, 2000, seed=314)
     params = P1(16, 2.0)
     m = counts.mean()
     se = counts.std(ddof=1) / math.sqrt(len(counts))
-    e_thm = expected_real_count(params, variant="theorem")
-    e_app = expected_real_count(params, variant="appendix")
+    e_thm = expected_real_count(params)
+    xs, ws = gl_panels(0.0, math.sqrt(params.N + params.L) + 10.0, width=1.0, order=24)
+    e_app = e_thm - (1.0 - 1.0 / params.L) * 2.0 * float(np.sum(ws * helper_t(xs, xs, params)))
     assert abs(m - e_thm) < 3.5 * se, (m, e_thm, se)
     assert abs(m - e_app) > 5.0 * se, (m, e_app, se)
 
@@ -714,25 +732,10 @@ def test_mc_real_axis_histogram():
         assert abs(counts[i] - expect) < 4.5 * sd, (i, counts[i], expect)
 
 
-def test_appendix_variant_rejects_a_zero_argument_at_l0():
-    # at L=0 the appendix t term is E1(x^2/2)/2, log-divergent at x=0
+def test_kernel_entries_at_a_zero_argument_at_l0():
+    # at L=0 the t term vanishes, so a real argument 0 gives finite entries
     params = P1(8, 0.0)
     z = 0.5 + 0.7j
-    for a, b in ((0.0, z), (z, 0.0), (0.0, 0.0)):
-        with pytest.raises(ValueError, match="diverges"):
-            kernel_entries(a, b, params, variant="appendix")
-    with pytest.raises(ValueError, match="diverges"):
-        kernel_entries(np.array([0.3, 0.0]), z, params, variant="appendix")
-    with pytest.raises(ValueError, match="diverges"):
-        helper_t(0.0, z, params, variant="appendix")
-    with pytest.raises(ValueError, match="diverges"):
-        density_real(np.array([-1.0, 0.0, 1.0]), params, variant="appendix")
-    # away from 0, or for L > 0, the appendix variant stays finite
-    e = kernel_entries(0.3, z, params, variant="appendix")
-    assert all(np.isfinite(v) for v in (e.DS, e.S, e.IS))
-    e = kernel_entries(0.0, z, P1(8, 2.0), variant="appendix")
-    assert all(np.isfinite(v) for v in (e.DS, e.S, e.IS))
-    # the theorem variant keeps its finite values at the same points
     want = {
         (0.0, z): (0.12829609828307423 + 0.08787511605974466j,
                    0.08787511605974466 + 0.12829609828307423j,
