@@ -95,7 +95,7 @@ def correlations_Rn(points, params):
     is taken of the kernel with that phase removed, |z w̄|^L Σ (z w̄)^j/Γ(j+L+1).
     """
     _require_beta2(params)
-    pts = np.asarray([complex(p) for p in points])
+    pts = np.atleast_1d(np.asarray(points, dtype=complex))
     if pts.size > params.N:
         raise ValueError("no more correlation points than eigenvalues (n <= N)")
     z, w = pts[:, None], pts[None, :]
@@ -191,7 +191,7 @@ def bulk_edge_limit_kernels(points, u, regime, alpha):
     if not np.isfinite(alpha) or alpha < 0:
         raise ValueError("alpha must be a finite real >= 0")
     u = complex(u)
-    pts = np.asarray([complex(p) for p in points])
+    pts = np.atleast_1d(np.asarray(points, dtype=complex))
     if regime == "bulk":
         lo, hi = np.sqrt(alpha), np.sqrt(alpha + 1.0)
         if not lo < abs(u) < hi:
@@ -230,19 +230,15 @@ def log_jpdf_complex(values, params):
     if lam.shape != (N,):
         raise ValueError(f"need exactly N={N} eigenvalues, got {lam.shape}")
     absl = np.abs(lam)
-    if L > 0 and np.any(absl == 0):
-        return -np.inf
     j = np.arange(1, N + 1, dtype=float)
     out = (-log_gamma(float(N) + 1.0) - N * np.log(np.pi)
            - float(np.sum(log_gamma(j + L))))
-    if N > 1:
-        iu = np.triu_indices(N, k=1)
-        gaps = np.abs((lam[:, None] - lam[None, :])[iu])
-        if np.any(gaps == 0):
-            return -np.inf
+    # a coincidence, or a zero eigenvalue at L > 0, gives -inf through the sums
+    gaps = np.abs((lam[:, None] - lam[None, :])[np.triu_indices(N, k=1)])
+    with np.errstate(divide="ignore"):
         out += 2.0 * float(np.sum(np.log(gaps)))
-    if L > 0:
-        out += 2.0 * L * float(np.sum(np.log(absl)))
+        if L > 0:
+            out += 2.0 * L * float(np.sum(np.log(absl)))
     out -= float(np.sum(absl ** 2))
     return float(out)
 

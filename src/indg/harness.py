@@ -219,8 +219,8 @@ def _expected_radial_real(edges, params, n_samples):
     ang = re1.density_complex_azimuthal(rr, params)
     # both members of each conjugate pair land in the modulus bin
     pair_part = np.sum(w * 2.0 * rr * s * ang, axis=1)
-    real_part = np.sum(w * s * (re1.density_real(rr, params)
-                                + re1.density_real(-rr, params)), axis=1)
+    # density_real is even bit for bit, so one call covers x = rr and x = -rr
+    real_part = np.sum(w * s * (2.0 * re1.density_real(rr, params)), axis=1)
     return n_samples * (pair_part + real_part)
 
 

@@ -20,9 +20,12 @@ half-line Gaussian moment of _log_half_moment.
 
 The module also provides the closed-form real/complex densities, the partial
 joint eigenvalue density, skew-orthogonal polynomial utilities with a
-quadrature inner product, and the large-N limit kernels and limit densities
-(ring bulks, circular edges, the near-axis crossover and the fixed-L origin
-profiles).
+quadrature inner product, and the beta=1 large-N limit laws: the real-bulk
+and circular-edge Pfaffian kernels and the real-axis, near-axis crossover
+and fixed-L origin densities.  Away from the real axis the local statistics
+tend to the complex Ginibre ones, so the off-axis bulk determinant and the
+beta=2 ring and edge densities live only in complex_ensemble
+(bulk_edge_limit_kernels, density_ring_limit, density_edge_profile).
 
 Conventions
 -----------
@@ -44,9 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special as sp
 
-from .complex_ensemble import _bulk_matrix, _gl_nodes, _gl_panels, _reg_p
-from .complex_ensemble import density_edge_profile as density_complex_edge_profile
-from .complex_ensemble import density_ring_limit as density_complex_ring_limit
+from .complex_ensemble import _gl_nodes, _gl_panels, _reg_p, density_ring_limit
 from .linalg import pfaffian
 from .sampling import EnsembleParams
 from .special import erfcx, log_exp_series, log_gamma, lower_reg_gamma, upper_reg_gamma
@@ -68,9 +69,7 @@ __all__ = [
     "limit_kernel_entries",
     "limit_kernels",
     "density_real_ring_limit",
-    "density_complex_ring_limit",
     "density_real_edge_profile",
-    "density_complex_edge_profile",
     "density_crossover_profile",
     "density_real_origin_limit",
     "density_complex_origin_limit",
@@ -410,15 +409,13 @@ def density_real(x, params: EnsembleParams):
 # ---------------------------------------------------------------------------
 
 
-def _assemble_blocks(points, entry_fn):
-    """2x2-block antisymmetric matrix from an entry function.
+def _assemble_blocks(e: RealKernelEntries):
+    """2x2-block antisymmetric matrix from the entries on a point grid.
 
-    Block (i, j) is [[DS(w_i, w_j), S(w_i, w_j)], [-S(w_j, w_i), IS + eps]].
-    entry_fn is called once, on the (m, 1) x (1, m) grid of point pairs.
+    e holds the entries on the (m, 1) x (1, m) grid of point pairs; block
+    (i, j) is [[DS(w_i, w_j), S(w_i, w_j)], [-S(w_j, w_i), IS + eps]].
     """
-    p = np.asarray(points, dtype=complex)
-    e = entry_fn(p[:, None], p[None, :])
-    m = len(p)
+    m = e.DS.shape[0]
     A = np.empty((2 * m, 2 * m), dtype=complex)
     A[0::2, 0::2] = e.DS
     A[0::2, 1::2] = e.S
@@ -428,8 +425,9 @@ def _assemble_blocks(points, entry_fn):
 
 
 def _pfaffian_of_blocks(A):
-    scale = max(1.0, float(np.abs(A).max()))
-    asym = float(np.abs(A + A.T).max())
+    """Pfaffian of the block matrix; no points (0 x 0) give 1."""
+    scale = max(1.0, float(np.abs(A).max(initial=0.0)))
+    asym = float(np.abs(A + A.T).max(initial=0.0))
     if asym > 1e-8 * scale:
         raise np.linalg.LinAlgError(
             f"kernel block matrix lost antisymmetry (residual {asym:.3e}, scale {scale:.3e})"
@@ -451,11 +449,9 @@ def correlations_pfaffian(reals, complexes, params: EnsembleParams) -> float:
         raise ValueError("complex correlation points must satisfy Im z > 0")
     if len(reals) + len(complexes) > params.N:
         raise ValueError("more correlation points than eigenvalues")
-    pts = np.concatenate([reals, complexes])
-    if not pts.size:
-        return 1.0
-    A = _assemble_blocks(pts, lambda a, b: _kernel_arrays(a, b, params))
-    return _pfaffian_of_blocks(A)
+    p = np.concatenate([reals, complexes])
+    e = _kernel_arrays(p[:, None], p[None, :], params)
+    return _pfaffian_of_blocks(_assemble_blocks(e))
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +570,7 @@ def skew_inner(f, g, L: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# limit kernels (bulk on the real axis, bulk off the axis, circular edge)
+# limit kernels (bulk on the real axis, circular edge)
 # ---------------------------------------------------------------------------
 
 
@@ -596,12 +592,12 @@ def limit_kernel_entries(a, b, u: float | None = None) -> RealKernelEntries:
     if u is not None and np.any((p.imag == 0.0) | (q.imag == 0.0)):
         raise ValueError("edge limit kernels are restricted to complex offsets")
 
-    def h(v, w):
-        g = _limit_g(v, w)
-        return g if u is None else g * 0.5 * sp.erfc(u * (v + w) / math.sqrt(2.0))
-
+    s, sc = _limit_g(p, q), _limit_g(p, q.conj())
+    if u is not None:
+        s = s * 0.5 * sp.erfc(u * (p + q) / math.sqrt(2.0))
+        sc = sc * 0.5 * sp.erfc(u * (p + q.conj()) / math.sqrt(2.0))
     is_rr = -0.5 * sp.erf((p.real - q.real) / math.sqrt(2.0))
-    e = _block_entries(p, q, h(p, q), h(p, q.conj()), 0.0, 0.0, is_rr)
+    e = _block_entries(p, q, s, sc, 0.0, 0.0, is_rr)
     return _scalar_if(e, a, b)
 
 
@@ -610,43 +606,29 @@ def limit_kernels(points, u, regime: str, alpha: float) -> float:
 
     regime="real-bulk": u real with sqrt(alpha) < |u| < sqrt(alpha+1); points
     may mix real and upper-half offsets; returns the Pfaffian of the bulk
-    kernel blocks.  regime="complex-bulk": u anywhere in the closed ring
-    (genuinely complex u allowed); returns the determinantal form
-    det[exp(-|s_j|^2/2 - |s_k|^2/2 + s_j conj(s_k))] / pi^m, which is the
-    correct limit whenever the window sits away from the real axis.
-    regime="edge": u = +1 or -1 exactly; strictly complex offsets; bulk
-    entries dressed by the erfc edge factor.
+    kernel blocks.  regime="edge": u = +1 or -1 exactly; strictly complex
+    offsets; bulk entries dressed by the erfc edge factor.  A window away
+    from the real axis has the complex Ginibre limit,
+    complex_ensemble.bulk_edge_limit_kernels(points, u, "bulk", alpha).
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    pts = np.atleast_1d(np.asarray(points, dtype=complex))
+    p = np.atleast_1d(np.asarray(points, dtype=complex))
     uc = complex(u)
-
     if regime == "real-bulk":
         if uc.imag != 0.0:
             raise ValueError("real-bulk needs a real center")
-        r = abs(uc.real)
-        if not (math.sqrt(alpha) < r < math.sqrt(alpha + 1.0)):
+        if not (math.sqrt(alpha) < abs(uc.real) < math.sqrt(alpha + 1.0)):
             raise ValueError("real-bulk center must sit strictly inside the ring")
-        A = _assemble_blocks(pts, lambda a, b: limit_kernel_entries(a, b))
-        return _pfaffian_of_blocks(A)
-
-    if regime == "complex-bulk":
-        r = abs(uc)
-        if not (math.sqrt(alpha) - 1e-12 <= r <= math.sqrt(alpha + 1.0) + 1e-12):
-            raise ValueError("complex-bulk center must sit in the closed ring")
-        return float(np.linalg.det(_bulk_matrix(pts)).real)
-
-    if regime == "edge":
+        edge = None
+    elif regime == "edge":
         if abs(uc.imag) > 1e-12 or abs(abs(uc.real) - 1.0) > 1e-9:
             raise ValueError("edge regime needs u = +1 or -1")
-        if np.any(pts.imag == 0.0):
-            raise ValueError("edge limit kernels are restricted to complex offsets")
-        uu = 1.0 if uc.real > 0 else -1.0
-        A = _assemble_blocks(pts, lambda a, b: limit_kernel_entries(a, b, u=uu))
-        return _pfaffian_of_blocks(A)
-
-    raise ValueError(f"unknown regime {regime!r}")
+        edge = 1.0 if uc.real > 0 else -1.0
+    else:
+        raise ValueError(f"unknown regime {regime!r}")
+    e = limit_kernel_entries(p[:, None], p[None, :], u=edge)
+    return _pfaffian_of_blocks(_assemble_blocks(e))
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +638,7 @@ def limit_kernels(points, u, regime: str, alpha: float) -> float:
 
 def density_real_ring_limit(x, alpha: float):
     """Flat limit of the real-axis density: the ring indicator / sqrt(2 pi)."""
-    return math.sqrt(0.5 * math.pi) * density_complex_ring_limit(x, alpha)
+    return math.sqrt(0.5 * math.pi) * density_ring_limit(x, alpha)
 
 
 def density_real_edge_profile(xi):

@@ -199,11 +199,6 @@ def log_density(G, params: EnsembleParams):
         G = G.astype(complex)
     _, logabsdet = np.linalg.slogdet(G)
     trace_term = -0.5 * beta * float(np.sum(np.abs(G) ** 2))
-    if np.isneginf(logabsdet):
-        if L > 0:
-            return -np.inf
-        det_term = 0.0
-    else:
-        # det(G†G) = |det G|²
-        det_term = beta * L * float(logabsdet)
+    # det(G†G) = |det G|²
+    det_term = beta * L * float(logabsdet) if L > 0 else 0.0
     return log_normalization(params) + det_term + trace_term

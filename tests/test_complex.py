@@ -135,6 +135,7 @@ def test_jpdf_normalization_n1():
         assert np.isclose(val, 1.0, rtol=1e-9)
 
 
+@pytest.mark.filterwarnings("error")
 def test_jpdf_zeros_and_validation():
     params = P2(2, 1.0)
     assert log_jpdf_complex([0.5 + 0.5j, 0.5 + 0.5j], params) == -np.inf
@@ -281,6 +282,14 @@ def test_bulk_edge_limit_kernels():
         bulk_edge_limit_kernels([0.0j], 1.0, "ring", alpha)
     with pytest.raises(ValueError):
         bulk_edge_limit_kernels([0.0j], 1.0, "edge", -1.0)
+
+
+def test_scalar_point_equals_one_element_list():
+    z = 0.2 + 0.1j
+    got = bulk_edge_limit_kernels(z, 0.9, "bulk", 0.5)
+    assert got == bulk_edge_limit_kernels([z], 0.9, "bulk", 0.5) == 0.3183098861837907
+    got = correlations_Rn(z, P2(8, 1.0))
+    assert got == correlations_Rn([z], P2(8, 1.0)) == 0.015524156336295702
 
 
 def test_integrate_radial():

@@ -11,6 +11,12 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from indg import linalg
+from indg.complex_ensemble import (
+    bulk_edge_limit_kernels,
+    correlations_Rn,
+    density_edge_profile as density_complex_edge_profile,
+    density_ring_limit as density_complex_ring_limit,
+)
 from indg.real_ensemble import (
     _log_half_moment,
     _assemble_blocks,
@@ -20,9 +26,7 @@ from indg.real_ensemble import (
     correlations_pfaffian,
     density_complex,
     density_complex_azimuthal,
-    density_complex_edge_profile,
     density_complex_origin_limit,
-    density_complex_ring_limit,
     density_crossover_profile,
     density_real,
     density_real_edge_profile,
@@ -447,7 +451,8 @@ def test_jpdf_marginal_equals_density_n2():
 def test_pfaffian_squared_is_determinant_on_kernel_blocks():
     params = P1(8, 1.5)
     for pts in ([0.4, -1.1], [0.4, 0.5 + 0.8j], [0.3 + 0.7j, -0.6 + 0.4j, 1.2]):
-        A = _assemble_blocks(pts, lambda a, b: kernel_entries(a, b, params))
+        w = np.asarray(pts, dtype=complex)
+        A = _assemble_blocks(kernel_entries(w[:, None], w[None, :], params))
         pf = correlations_pfaffian([p for p in pts if complex(p).imag == 0],
                                    [p for p in pts if complex(p).imag != 0], params)
         det = np.linalg.det(A)
@@ -548,8 +553,18 @@ def test_limit_density_values():
 def test_limit_kernel_one_point_values():
     assert abs(limit_kernels([0.3], 1.0, "real-bulk", 0.5)
                - 1.0 / math.sqrt(2.0 * math.pi)) < 1e-12
-    assert abs(limit_kernels([0.2 + 5.0j], 0.6 + 0.6j, "complex-bulk", 0.5)
+    assert abs(bulk_edge_limit_kernels([0.2 + 5.0j], 0.6 + 0.6j, "bulk", 0.5)
                - 1.0 / math.pi) < 1e-12
+
+
+def test_empty_point_set_correlations_are_one():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert limit_kernels([], 1.0, "real-bulk", 0.5) == 1.0
+        assert limit_kernels([], 1.0, "edge", 0.5) == 1.0
+        assert correlations_pfaffian([], [], P1(8, 1.0)) == 1.0
+        assert bulk_edge_limit_kernels([], 0.9, "bulk", 0.5) == 1.0
+        assert correlations_Rn([], EnsembleParams(N=8, L=1.0, beta=2)) == 1.0
 
 
 def test_real_bulk_plateau_and_entrywise_convergence():
@@ -584,7 +599,7 @@ def test_complex_bulk_determinant_limit():
     cc = math.sqrt(N) * uc
     for pts in ([0.2 + 0.1j], [0.2 + 0.1j, -0.4 + 0.3j]):
         fin = correlations_pfaffian([], [cc + p for p in pts], P1(N, L))
-        lim = limit_kernels(pts, uc, "complex-bulk", L / N)
+        lim = bulk_edge_limit_kernels(pts, uc, "bulk", L / N)
         # the residual erfc tail is O(1/(4 Im^2)) ~ 1e-3 per point here
         assert abs(fin - lim) < 6e-3 * max(abs(lim), 1e-3), (pts, fin, lim)
         fin_small = correlations_pfaffian(
@@ -673,7 +688,10 @@ def test_limit_kernel_validation():
     with pytest.raises(ValueError):
         limit_kernels([0.3], 1.0, "edge", 0.5)  # real point in edge regime
     with pytest.raises(ValueError):
-        limit_kernels([0.1 + 0.2j], 0.1, "complex-bulk", 0.5)  # u on the axis-ish
+        bulk_edge_limit_kernels([0.1 + 0.2j], 0.1, "bulk", 0.5)  # u inside the hole
+    # off-axis windows have the beta=2 limit, which lives in complex_ensemble
+    with pytest.raises(ValueError, match="unknown regime"):
+        limit_kernels([0.2 + 0.1j], 0.6 + 0.6j, "complex-bulk", 0.5)
     # limit entries share the finite-N antisymmetry
     for a, b in ((0.2, 0.7), (0.4 + 0.5j, -0.3 + 0.9j)):
         e1 = limit_kernel_entries(a, b)

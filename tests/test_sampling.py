@@ -229,6 +229,7 @@ def test_log_density_formula_and_invariance():
     assert np.isclose(log_density(O @ Gr, params1), log_density(Gr, params1), atol=1e-8)
 
 
+@pytest.mark.filterwarnings("error")
 def test_log_density_singular_matrix():
     params = EnsembleParams(N=2, L=1.0, beta=2)
     assert log_density(np.zeros((2, 2)), params) == -np.inf
