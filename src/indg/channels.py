@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import eigenvalues, sample_haar_unitary
-from .sampling import quadratise
+from .sampling import quadratise, square_factors
 
 __all__ = [
     "ChannelSpec",
@@ -32,6 +32,7 @@ __all__ = [
     "complementary_kraus",
     "random_complementary_map",
     "dynamical_matrix",
+    "quadratised_factor",
     "quadratised_spectrum",
     "predicted_ring",
 ]
@@ -116,18 +117,28 @@ def dynamical_matrix(phi):
     return phi.matrix.reshape(k, k, d, d).transpose(0, 2, 1, 3).reshape(k * d, k * d)
 
 
-def quadratised_spectrum(phi):
-    """Eigenvalues of the quadratised superoperator, in eigenvalues' (dgeev's) order.
+def quadratised_factor(phi):
+    """The square matrix whose eigenvalues are phi's quadratised spectrum.
 
-    k > d: quadratise the standing k^2 x d^2 matrix; k < d: quadratise its
-    transpose (the natural standing reduction); k = d: the matrix is already
-    square and is diagonalized directly.
+    k > d: the square factor of the standing k^2 x d^2 matrix; k < d: that of
+    its transpose (the natural standing reduction); k = d: the matrix is
+    already square and is returned as it is.  The factor is square_factors'
+    G, which builds no W; QuadratisationError is raised when the top block
+    is too ill-conditioned.
     """
     d, k = phi.spec.d, phi.spec.k
     m = phi.matrix
-    if k != d:
-        m, _ = quadratise(m if k > d else m.T)
-    return eigenvalues(m, beta=2)
+    if k == d:
+        return m
+    standing = m if k > d else m.T
+    G, ill = square_factors(standing[None])
+    # quadratise raises, naming cond(Q1), on exactly the rows square_factors marks
+    return quadratise(standing)[0] if ill[0] else G[0]
+
+
+def quadratised_spectrum(phi):
+    """Eigenvalues of the quadratised superoperator, in eigenvalues' (dgeev's) order."""
+    return eigenvalues(quadratised_factor(phi), beta=2)
 
 
 def predicted_ring(d, k):

@@ -128,6 +128,12 @@ def _heaviside(x):
     return np.where(x > 0, 1.0, np.where(x < 0, 0.0, THETA_AT_EDGE))
 
 
+def _require_alpha(alpha):
+    """The one input rule of the large-N limits: alpha = lim L/N is a finite real >= 0."""
+    if not np.isfinite(alpha) or alpha < 0:
+        raise ValueError("alpha must be a finite real >= 0")
+
+
 def density_ring_limit(zeta, alpha):
     """Large-N density at rescaled point zeta = lambda/sqrt(N): the uniform ring.
 
@@ -136,8 +142,7 @@ def density_ring_limit(zeta, alpha):
     the inner edge degenerates to the origin and the support is the full
     disk, so only the outer step remains.
     """
-    if not np.isfinite(alpha) or alpha < 0:
-        raise ValueError("alpha must be a finite real >= 0")
+    _require_alpha(alpha)
     r = np.abs(np.asarray(zeta))
     val = _heaviside(np.sqrt(alpha + 1.0) - r)
     if alpha > 0:
@@ -188,8 +193,7 @@ def bulk_edge_limit_kernels(points, u, regime, alpha):
 
     Returns det of the kernel matrix.  Raises when u violates the regime.
     """
-    if not np.isfinite(alpha) or alpha < 0:
-        raise ValueError("alpha must be a finite real >= 0")
+    _require_alpha(alpha)
     u = complex(u)
     pts = np.atleast_1d(np.asarray(points, dtype=complex))
     if regime == "bulk":

@@ -8,21 +8,31 @@ index ranges salt .. salt+n-1; a failing sample raises WorkerError naming its
 index and master seed.
 
 The work is mapped over contiguous chunks of indices, not single indices.
-A chunk holds as many draws as fit _CHUNK_BYTES (256 KiB) of (N+L) x (N+L)
-complex factors: 33 draws at N+L = 22, one from N+L = 128 up.  Each index
-draws its Gaussian from its own stream; the chunk stacks the draws and runs
-each layer of the reduction (complete QR, polar SVD, product, eigvals) as one
-numpy call on the whole stack, whose rows are bit-identical to the per-matrix
-calls.  sampler-equiv draws a polar and then a quadratised matrix from each
-index's stream and diagonalises the chunk's pairs in one call; the channel
-maps loop over their indices inside a chunk.  numpy's eigvals releases the
-GIL for a stack of k m x m matrices only when k*m > 500 (33 * 20 for
-hole-prob; never for a single matrix with m <= 500), so the worker threads
-(flag, else INDG_THREADS, else cpu count) run such chunks in parallel.  A
-chunk that raises is rerun index by index, so the error names its sample.
-The worker count and the chunking therefore change only the wall time, never
-the numbers; the canonical report payload excludes wall time so byte
-identity across worker counts can be asserted directly.
+A chunk holds as many draws as fit _CHUNK_BYTES (256 KiB) of complex
+factors, raised where that is fewer to the smallest k with
+k * (matrices per index) * m > 500, m the side of the matrices eigvals gets:
+numpy's eigvals releases the GIL for a stack of k m x m matrices only past
+that size, and holds it throughout for a single m x m with m <= 500.  So a
+chunk holds 33 hole-prob and 40 real-density draws (the byte budget), 4 at
+N = 128, 6 sampler-equiv pairs, and 6, 3 and 3 channel maps at
+(d, k) = (14, 10), (14, 14) and (14, 18).  Each index draws from its own
+stream; the chunk stacks the draws and runs each layer of the reduction
+(complete QR, polar SVD, product, eigvals) as one numpy call on the whole
+stack, whose rows are bit-identical to the per-matrix calls.  sampler-equiv
+draws a polar and then a quadratised matrix from each index's stream and
+diagonalises the chunk's pairs in one call; channel-ring reduces each map
+through channels.quadratised_factor and diagonalises the chunk's square
+factors in one call.  The worker threads (flag, else INDG_THREADS, else cpu
+count) run chunks in parallel, and run_mc sets numpy's bundled OpenBLAS to
+one thread for the whole run, at every worker count, restoring the caller's
+count afterwards: BLAS threads under the workers would only oversubscribe
+the cores, and zgeqrf/zgemm give different bits at one and two BLAS
+threads, so without the cap the channel-ring reports would depend on the
+host's BLAS setting.  A chunk that raises is rerun index by index, so the
+error names its sample.  The worker count, the chunking and the caller's
+BLAS thread count therefore change only the wall time, never the numbers;
+the canonical report payload excludes wall time so byte identity across
+worker counts can be asserted directly.
 
 A spectrum is the array linalg.eigenvalues returns, nothing else.  A chunk
 returns arrays with one row per index: eigenvalue rows, modulus rows
@@ -32,19 +42,22 @@ np.histogram counts, real_mask sums, row minima, a masked maximum.
 """
 
 import csv
+import ctypes
+import glob
 import json
 import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
 from . import complex_ensemble as cx
 from . import real_ensemble as re1
-from .channels import predicted_ring, quadratised_spectrum, random_complementary_map
+from .channels import predicted_ring, quadratised_factor, random_complementary_map
 from .linalg import eigenvalues, real_mask, sample_gaussian
 from .sampling import (EnsembleParams, sample_induced_polar, sample_induced_quadratise,
                        square_factors)
@@ -63,10 +76,11 @@ DEFAULT_BINS = 64
 # modulus bin edges in rescaled units, |lambda| / sqrt(N+L)
 _EDGES = np.linspace(0.0, 1.2, DEFAULT_BINS + 1)
 _BIN_ORDER = 12  # Gauss-Legendre nodes per histogram bin for the expectations
-# Byte budget of one chunk's stack of (N+L) x (N+L) complex factors: 33
-# draws of hole-prob's 22 x 22, one of anything from 128 x 128 up.  Half of
-# it (16 draws) stays under eigvals' GIL-release size and loses the overlap;
-# twice it doubles the stacks' memory for no speed.
+# Byte budget of one chunk's stack of rows x rows complex factors: 33 draws
+# of hole-prob's 22 x 22, 40 of real-density's 20 x 20.  From N+L ~ 128 up
+# it gives one draw or none, and _chunk_length's floor (enough draws for
+# eigvals to drop the GIL) decides instead.  Twice the budget doubles the
+# stacks' memory for no speed.
 _CHUNK_BYTES = 256 * 1024
 
 
@@ -141,9 +155,47 @@ def _index_rng(master_seed, index):
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(index,)))
 
 
-def _chunk_length(rows):
-    """Samples per chunk: the (rows x rows) complex matrices that fit _CHUNK_BYTES, at least 1."""
-    return max(1, _CHUNK_BYTES // (16 * rows * rows))
+def _chunk_length(rows, side, per_index=1):
+    """Samples per chunk: the (rows x rows) complex matrices that fit _CHUNK_BYTES,
+    raised to the fewest k whose k * per_index eigvals matrices of side x side
+    make a stack past eigvals' GIL-release size, k * per_index * side > 500."""
+    return max(_CHUNK_BYTES // (16 * rows * rows), 500 // (per_index * side) + 1)
+
+
+@cache
+def _openblas_threads():
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None.
+
+    Looked up on first use, and only in numpy's own library directory.
+    """
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
+        try:
+            lib = ctypes.CDLL(path)
+            return lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """numpy's OpenBLAS at one thread inside, the caller's count restored after.
+
+    Without the library's thread functions BLAS is left alone.  The count is
+    process-wide, so it also holds for other threads while the block runs.
+    """
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_threads = blas
+    before = get()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
 
 
 def _run_chunk(fn, master_seed, start, stop):
@@ -266,7 +318,7 @@ def _spectra_chunk(params, master_seed, start, stop):
 
 def _map_spectra(params, n_samples, workers, master_seed, salt=0):
     """Eigenvalue rows of n_samples quadratised draws, in index order."""
-    size = _chunk_length(params.N + params.require_integer_L())
+    size = _chunk_length(params.N + params.require_integer_L(), params.N)
     return np.concatenate(_map_chunks(partial(_spectra_chunk, params, master_seed),
                                       n_samples, size, workers, master_seed, salt))
 
@@ -285,11 +337,22 @@ def _sampler_pairs_chunk(params, master_seed, start, stop):
 
 
 def _channel_chunk(geometry, master_seed, start, stop):
-    """Quadratised spectra (one row per index) and squared norms of random maps (d, k)."""
-    maps = [random_complementary_map(*geometry, _index_rng(master_seed, i))
-            for i in range(start, stop)]
-    return (np.stack([quadratised_spectrum(phi) for phi in maps]),
-            np.array([np.sum(np.abs(phi.matrix) ** 2) for phi in maps]))
+    """Quadratised spectra (one row per index) and squared norms of random maps (d, k).
+
+    Each map is reduced on its own, since QR and SVD overlap across the
+    worker threads one matrix at a time, and a stacked reduction would hold
+    the chunk's complete Q factors all at once; only the square factors are
+    stacked, for the one eigenvalues call that needs the stack to drop the GIL.
+    """
+    d, k = geometry
+    side = min(d, k) ** 2
+    factors = np.empty((stop - start, side, side), dtype=complex)
+    norms = np.empty(stop - start)
+    for j in range(stop - start):
+        phi = random_complementary_map(d, k, _index_rng(master_seed, start + j))
+        factors[j] = quadratised_factor(phi)
+        norms[j] = np.sum(np.abs(phi.matrix) ** 2)
+    return eigenvalues(factors, beta=2), norms
 
 
 # --------------------------------------------------------------------------
@@ -357,7 +420,8 @@ def _exp_sampler_equiv(master_seed, n_samples, workers):
         params = EnsembleParams(N=50, L=10, beta=beta)
         mods = np.concatenate(_map_chunks(
             partial(_sampler_pairs_chunk, params, master_seed), n_samples,
-            _chunk_length(params.N + params.require_integer_L()), workers, master_seed, salt))
+            _chunk_length(params.N + params.require_integer_L(), params.N, 2), workers,
+            master_seed, salt))
         t, p = ks_two_sample(np.sort(mods[:, 0], axis=None), np.sort(mods[:, 1], axis=None))
         meta = {"N": params.N, "L": params.L, "beta": beta, "n_samples": n_samples,
                 "ks_statistic": t}
@@ -373,7 +437,8 @@ def _exp_channel_ring(master_seed, n_samples, workers):
         r_in, r_out = predicted_ring(d, k)
         spectra, traces = (np.concatenate(part) for part in zip(*_map_chunks(
             partial(_channel_chunk, (d, k), master_seed), n_samples,
-            _chunk_length(max(d, k) ** 2), workers, master_seed, g * 10 ** 6)))
+            _chunk_length(max(d, k) ** 2, min(d, k) ** 2), workers, master_seed,
+            g * 10 ** 6)))
         # each map's leading eigenvalue (largest modulus) sits outside the ring
         mod = np.abs(spectra)
         mod = np.ma.masked_array(mod, np.arange(mod.shape[1]) == mod.argmax(axis=1)[:, None])
@@ -454,8 +519,10 @@ def run_mc(experiment, master_seed, n_samples, workers=None, out_dir=None):
     """Run one named experiment; returns its ExperimentReport list.
 
     Deterministic given (experiment, master_seed, n_samples) for any worker
-    count.  With out_dir set, writes <experiment>_report.json plus one CSV per
-    histogram/table artifact, every file carrying the parameter set and seed.
+    count and any BLAS thread count of the caller: numpy's OpenBLAS runs at
+    one thread inside.  With out_dir set, writes <experiment>_report.json
+    plus one CSV per histogram/table artifact, every file carrying the
+    parameter set and seed.
     """
     if experiment not in EXPERIMENTS:
         raise ValueError(
@@ -464,7 +531,8 @@ def run_mc(experiment, master_seed, n_samples, workers=None, out_dir=None):
         raise ValueError("n_samples must be >= 1")
     nworkers = resolve_workers(workers)
     t0 = time.perf_counter()
-    reports, artifacts = EXPERIMENTS[experiment](int(master_seed), int(n_samples), nworkers)
+    with _one_blas_thread():
+        reports, artifacts = EXPERIMENTS[experiment](int(master_seed), int(n_samples), nworkers)
     elapsed = time.perf_counter() - t0
     for r in reports:
         r.wall_time = elapsed

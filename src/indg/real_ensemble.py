@@ -47,7 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special as sp
 
-from .complex_ensemble import _gl_nodes, _gl_panels, _reg_p, density_ring_limit
+from .complex_ensemble import (_gl_nodes, _gl_panels, _reg_p, _require_alpha,
+                               density_ring_limit)
 from .linalg import pfaffian
 from .sampling import EnsembleParams
 from .special import erfcx, log_exp_series, log_gamma, lower_reg_gamma, upper_reg_gamma
@@ -611,8 +612,7 @@ def limit_kernels(points, u, regime: str, alpha: float) -> float:
     from the real axis has the complex Ginibre limit,
     complex_ensemble.bulk_edge_limit_kernels(points, u, "bulk", alpha).
     """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    _require_alpha(alpha)
     p = np.atleast_1d(np.asarray(points, dtype=complex))
     uc = complex(u)
     if regime == "real-bulk":

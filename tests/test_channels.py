@@ -10,9 +10,12 @@ from indg.channels import (
     complementary_kraus,
     dynamical_matrix,
     predicted_ring,
+    quadratised_factor,
     quadratised_spectrum,
     random_complementary_map,
 )
+from indg.linalg import eigenvalues
+from indg.sampling import QuadratisationError, quadratise
 
 
 def test_channel_spec_validation():
@@ -96,6 +99,30 @@ def test_rectangular_spectrum_sizes():
     # k < d: its transpose is the standing one, giving k^2
     assert len(quadratised_spectrum(random_complementary_map(3, 5, rng))) == 9
     assert len(quadratised_spectrum(random_complementary_map(5, 3, rng))) == 9
+
+
+@pytest.mark.parametrize("d,k", [(3, 5), (5, 3), (4, 4)])
+def test_quadratised_factor_matches_quadratise(d, k):
+    # square_factors' G, which builds no W, has the bits of quadratise's
+    phi = random_complementary_map(d, k, np.random.default_rng(10 * d + k))
+    m = phi.matrix
+    square = m if k == d else quadratise(m if k > d else m.T)[0]
+    assert quadratised_factor(phi).tobytes() == square.tobytes()
+    assert quadratised_spectrum(phi).tobytes() == eigenvalues(square, beta=2).tobytes()
+
+
+@pytest.mark.parametrize("d,k", [(3, 5), (5, 3)])
+def test_ill_conditioned_map_raises(d, k):
+    phi = random_complementary_map(d, k, np.random.default_rng(91))
+    m = phi.matrix.copy()
+    # a zero row of the standing matrix's top block makes Q1 singular
+    if k > d:
+        m[0] = 0.0
+    else:
+        m[:, 0] = 0.0
+    singular = Superoperator(matrix=m, spec=phi.spec)
+    with pytest.raises(QuadratisationError):
+        quadratised_factor(singular)
 
 
 def test_predicted_ring_radii():

@@ -9,6 +9,7 @@ import pytest
 from indg import harness
 from indg import real_ensemble as re1
 from indg import sampling
+from indg.channels import Superoperator
 from indg.harness import (
     EXPERIMENTS,
     ExperimentReport,
@@ -20,7 +21,8 @@ from indg.harness import (
     run_mc,
 )
 from indg.linalg import EigenConvergenceError, eigenvalues, sample_gaussian
-from indg.sampling import EnsembleParams, quadratise, sample_induced_quadratise, square_factors
+from indg.sampling import (EnsembleParams, QuadratisationError, quadratise,
+                           sample_induced_quadratise, square_factors)
 
 
 # ---------------------------------------------------------------- KS
@@ -114,6 +116,21 @@ def test_worker_error_names_the_salted_stream(monkeypatch, workers):
 
 # ---------------------------------------------------------------- stacked chunks
 
+@pytest.mark.parametrize("rows,side,per_index,want", [
+    (160, 128, 1, 4),   # radial-density and real-count L=32: the GIL floor
+    (128, 128, 1, 4),   # real-count L=0
+    (196, 100, 1, 6),   # channel-ring (14, 10)
+    (196, 196, 1, 3),   # channel-ring (14, 14)
+    (324, 196, 1, 3),   # channel-ring (14, 18)
+    (60, 50, 2, 6),     # sampler-equiv: a polar and a quadratised draw per index
+    (22, 20, 1, 33),    # hole-prob: the byte budget
+    (20, 16, 1, 40),    # real-density: the byte budget
+])
+def test_chunk_length_table(rows, side, per_index, want):
+    assert harness._chunk_length(rows, side, per_index) == want
+    assert want * per_index * side > 500  # past eigvals' GIL-release size
+
+
 @pytest.mark.parametrize("M,N,beta", [(22, 20, 2), (160, 128, 1), (160, 128, 2),
                                       (129, 128, 1), (7, 4, 1), (7, 4, 2)])
 def test_square_factors_match_quadratise_bit_for_bit(M, N, beta):
@@ -182,9 +199,11 @@ def test_failing_stacked_eigvals_names_the_salted_index(monkeypatch):
 
 
 # sample counts that put a chunk boundary inside the run: hole-prob and
-# real-density stack 33 and 40 draws per chunk, sampler-equiv 4, the others 1
-_IDENTITY_N = {"radial-density": 3, "real-count": 3, "hole-prob": 50,
-               "sampler-equiv": 6, "channel-ring": 2, "real-density": 50}
+# real-density stack 33 and 40 draws per chunk, sampler-equiv 6 pairs, the
+# N=128 ensembles 4 draws, and channel-ring 6, 3 and 3 maps, so its n=4
+# crosses a boundary at (14, 14) and (14, 18)
+_IDENTITY_N = {"radial-density": 5, "real-count": 5, "hole-prob": 50,
+               "sampler-equiv": 7, "channel-ring": 4, "real-density": 50}
 
 
 @pytest.mark.parametrize("experiment", sorted(_IDENTITY_N))
@@ -210,6 +229,76 @@ def test_chunk_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 3.6 * 2 ** 20
+
+
+def _blas_threads():
+    blas = harness._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy's bundled OpenBLAS thread functions are not available")
+    return blas
+
+
+def _channel_ring_outputs(out):
+    reports = run_mc("channel-ring", 12345, 5, workers=1, out_dir=str(out))
+    csvs = {f: (out / f).read_bytes() for f in sorted(os.listdir(out)) if f.endswith(".csv")}
+    return report_payload_bytes(reports), csvs
+
+
+def test_reports_independent_of_the_callers_blas_threads(tmp_path, monkeypatch):
+    # zgeqrf and zgemm at channel-ring's sizes give different bits at one and
+    # two OpenBLAS threads; run_mc runs BLAS at one thread whatever the caller set
+    get, set_threads = _blas_threads()
+    before = get()
+    try:
+        set_threads(2)
+        at_two = _channel_ring_outputs(tmp_path / "two")
+        assert get() == 2
+        set_threads(1)
+        at_one = _channel_ring_outputs(tmp_path / "one")
+        assert get() == 1
+        assert at_two == at_one
+
+        set_threads(2)
+        seen = []
+
+        def failing(master_seed, index):
+            seen.append(get())
+            raise FloatingPointError("injected")
+
+        monkeypatch.setattr(harness, "_index_rng", failing)
+        with pytest.raises(WorkerError):
+            run_mc("channel-ring", 12345, 2, workers=1)
+        assert seen and set(seen) == {1}
+        assert get() == 2
+    finally:
+        set_threads(before)
+
+
+def test_ill_conditioned_channel_map_names_its_sample(monkeypatch):
+    # a map whose standing matrix has a singular top block fails its chunk;
+    # the rerun names its index, with QuadratisationError as the cause
+    index_rng, draw = harness._index_rng, harness.random_complementary_map
+    drawn = []
+
+    def tracking_rng(master_seed, index):
+        drawn.append(index)
+        return index_rng(master_seed, index)
+
+    def singular_at_index_4(d, k, rng):
+        phi = draw(d, k, rng)
+        if drawn[-1] != 4:
+            return phi
+        m = phi.matrix.copy()
+        m[:, 0] = 0.0  # (14, 10) quadratises m.T: a zero row of its top block
+        return Superoperator(matrix=m, spec=phi.spec)
+
+    monkeypatch.setattr(harness, "_index_rng", tracking_rng)
+    monkeypatch.setattr(harness, "random_complementary_map", singular_at_index_4)
+    # the (14, 10) maps go 6 to a chunk: index 4 sits inside the first one
+    with pytest.raises(WorkerError, match=r"seed spawn \(29, \(4,\)\)") as info:
+        run_mc("channel-ring", 29, 6, workers=1)
+    assert info.value.index == 4
+    assert isinstance(info.value.__cause__, QuadratisationError)
 
 
 # ---------------------------------------------------------------- bin expectations

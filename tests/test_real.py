@@ -557,6 +557,19 @@ def test_limit_kernel_one_point_values():
                - 1.0 / math.pi) < 1e-12
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -0.1])
+def test_limit_functions_share_the_alpha_rule(alpha):
+    # the edge regimes never read alpha, so only the shared check rejects it
+    calls = [lambda: limit_kernels([0.3 + 0.5j], 1.0, "edge", alpha),
+             lambda: limit_kernels([0.3], 1.0, "real-bulk", alpha),
+             lambda: bulk_edge_limit_kernels([0.3 + 0.5j], 1.0, "edge", alpha),
+             lambda: density_complex_ring_limit(0.9, alpha),
+             lambda: density_real_ring_limit(0.9, alpha)]
+    for call in calls:
+        with pytest.raises(ValueError, match="alpha must be a finite real >= 0"):
+            call()
+
+
 def test_empty_point_set_correlations_are_one():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
