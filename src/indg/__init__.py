@@ -59,6 +59,7 @@ from .sampling import (
     log_density,
     log_normalization,
     quadratise,
+    quadratised_draws,
     sample_induced_polar,
     sample_induced_quadratise,
 )
@@ -98,6 +99,7 @@ __all__ = [
     "predicted_ring",
     "psd_sqrt",
     "quadratise",
+    "quadratised_draws",
     "quadratised_spectrum",
     "random_complementary_map",
     "real_mask",

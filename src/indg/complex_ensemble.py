@@ -51,6 +51,11 @@ def _require_beta2(params):
         raise ValueError("complex-ensemble formulas need beta=2 params")
 
 
+def _as_scalar(val):
+    """val as a Python scalar when it is 0-d, else val itself."""
+    return np.asarray(val).item() if np.ndim(val) == 0 else val
+
+
 def _reg_p(a, x):
     """P(a, x), with the a=0 limit taken identically as 1."""
     if a == 0:
@@ -75,7 +80,7 @@ def kernel_KN(z, w, params):
     out -= 0.5 * (np.abs(z) ** 2 + np.abs(w) ** 2)
     np.exp(out, out=out)
     out /= np.pi
-    return complex(out) if out.ndim == 0 else out
+    return _as_scalar(out)
 
 
 def density(z, params):
@@ -84,7 +89,7 @@ def density(z, params):
     N, L = params.N, params.L
     u = np.abs(np.asarray(z)) ** 2
     val = (_reg_p(L, u) - lower_reg_gamma(L + N, u)) / np.pi
-    return val if np.ndim(z) else float(val)
+    return _as_scalar(val)
 
 
 def correlations_Rn(points, params):
@@ -148,7 +153,7 @@ def density_ring_limit(zeta, alpha):
     if alpha > 0:
         val = val - _heaviside(np.sqrt(alpha) - r)
     val = val / np.pi
-    return val if np.ndim(zeta) else float(val)
+    return _as_scalar(val)
 
 
 def density_edge_profile(xi):
@@ -158,7 +163,7 @@ def density_edge_profile(xi):
     """
     xi = np.asarray(xi, dtype=float)
     val = erfc(np.sqrt(2.0) * xi) / (2.0 * np.pi)
-    return val if xi.ndim else float(val)
+    return _as_scalar(val)
 
 
 def origin_kernel(z, w, L):

@@ -16,11 +16,10 @@ that size, and holds it throughout for a single m x m with m <= 500.  So a
 chunk holds 33 hole-prob and 40 real-density draws (the byte budget), 4 at
 N = 128, 6 sampler-equiv pairs, and 6, 3 and 3 channel maps at
 (d, k) = (14, 10), (14, 14) and (14, 18).  Each index draws from its own
-stream; the chunk stacks the draws and runs each layer of the reduction
-(complete QR, polar SVD, product, eigvals) as one numpy call on the whole
-stack, whose rows are bit-identical to the per-matrix calls.  sampler-equiv
-draws a polar and then a quadratised matrix from each index's stream and
-diagonalises the chunk's pairs in one call; channel-ring reduces each map
+stream.  The chunk's streams go to sampling.quadratised_draws, the one
+quadratised sampler: one numpy call per reduction layer, no W, ill rows
+redrawn there; sampler-equiv first draws each index's polar matrix.  The
+chunk's matrices then go to one eigvals call.  channel-ring reduces each map
 through channels.quadratised_factor and diagonalises the chunk's square
 factors in one call.  The worker threads (flag, else INDG_THREADS, else cpu
 count) run chunks in parallel, and run_mc sets numpy's bundled OpenBLAS to
@@ -58,9 +57,8 @@ import numpy as np
 from . import complex_ensemble as cx
 from . import real_ensemble as re1
 from .channels import predicted_ring, quadratised_factor, random_complementary_map
-from .linalg import eigenvalues, real_mask, sample_gaussian
-from .sampling import (EnsembleParams, sample_induced_polar, sample_induced_quadratise,
-                       square_factors)
+from .linalg import eigenvalues, real_mask
+from .sampling import EnsembleParams, quadratised_draws, sample_induced_polar
 
 __all__ = [
     "ExperimentReport",
@@ -299,21 +297,9 @@ def _bin_table(var, edges, counts, expected):
 
 
 def _spectra_chunk(params, master_seed, start, stop):
-    """Eigenvalues of the quadratised draws on spawn indices start .. stop-1, one row each.
-
-    The draws are stacked, so each layer (QR, polar SVD, product, eigvals)
-    is one numpy call for the whole chunk; row j is bit-identical to the
-    spectrum of sample_induced_quadratise on index start + j, which redraws
-    the rows whose top block is ill-conditioned.
-    """
-    N, L = params.N, params.require_integer_L()
-    G = np.stack([sample_gaussian(N + L, N, params.beta, _index_rng(master_seed, i))
-                  for i in range(start, stop)])
-    if L:
-        G, ill = square_factors(G)
-        for j in np.flatnonzero(ill):
-            G[j] = sample_induced_quadratise(params, _index_rng(master_seed, start + j))
-    return eigenvalues(G, params.beta)
+    """Eigenvalues of the quadratised draws on spawn indices start .. stop-1, one row each."""
+    rngs = [_index_rng(master_seed, i) for i in range(start, stop)]
+    return eigenvalues(quadratised_draws(params, rngs), params.beta)
 
 
 def _map_spectra(params, n_samples, workers, master_seed, salt=0):
@@ -329,11 +315,10 @@ def _sampler_pairs_chunk(params, master_seed, start, stop):
     Row j, of shape (2, N), holds the polar and the quadratised moduli of
     index start + j.
     """
-    draws = []
-    for i in range(start, stop):
-        rng = _index_rng(master_seed, i)
-        draws.append([sample_induced_polar(params, rng), sample_induced_quadratise(params, rng)])
-    return np.abs(eigenvalues(np.stack(draws), params.beta))
+    rngs = [_index_rng(master_seed, i) for i in range(start, stop)]
+    polar = np.stack([sample_induced_polar(params, rng) for rng in rngs])
+    pairs = np.stack([polar, quadratised_draws(params, rngs)], axis=1)
+    return np.abs(eigenvalues(pairs, params.beta))
 
 
 def _channel_chunk(geometry, master_seed, start, stop):

@@ -69,7 +69,7 @@ def eigenvalues(G, beta):
     n = G.shape[-1]
     if G.ndim < 2 or G.shape[-2] != n:
         raise ValueError("eigenvalues needs a square matrix")
-    if not np.all(np.isfinite(G.real)) or not np.all(np.isfinite(G.imag)):
+    if not np.all(np.isfinite(G)):
         raise ValueError("matrix entries must be finite")
     if beta not in (1, 2):
         raise ValueError(f"beta must be 1 or 2, got {beta}")
@@ -78,7 +78,7 @@ def eigenvalues(G, beta):
             raise ValueError("beta=1 eigenvalue extraction needs a real matrix")
         G = G.real
     try:
-        return np.linalg.eigvals(G.astype(float if beta == 1 else complex))
+        return np.linalg.eigvals(G.astype(float if beta == 1 else complex, copy=False))
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(f"eigvals failed on {n}x{n} matrix: {exc}") from exc
 

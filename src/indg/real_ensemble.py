@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special as sp
 
-from .complex_ensemble import (_gl_nodes, _gl_panels, _reg_p, _require_alpha,
+from .complex_ensemble import (_as_scalar, _gl_nodes, _gl_panels, _reg_p, _require_alpha,
                                density_ring_limit)
 from .linalg import pfaffian
 from .sampling import EnsembleParams
@@ -135,7 +135,7 @@ def _finish(val, *args):
     """val as a real array when every argument is real; a Python scalar if 0-d."""
     if all(np.isrealobj(v) or not np.any(np.imag(v)) for v in args):
         val = val.real
-    return val.item() if val.ndim == 0 else val
+    return _as_scalar(val)
 
 
 def _s_series(zeta, ld, N, L):
@@ -277,7 +277,7 @@ def _upper(z):
 
 
 def _block_entries(a, b, s, sc, u_ba, u_ab, is_rr):
-    """Kernel block entries in every real/complex flavour, elementwise.
+    """Kernel block entries in every real/complex flavour, elementwise; scalars if 0-d.
 
     a, b are folded points; s = s(a, b) and sc = s(a, conj b) are the series
     helper, with s(conj a, conj b) = conj s; u_ba = u(Re b, a) and
@@ -296,14 +296,7 @@ def _block_entries(a, b, s, sc, u_ba, u_ab, is_rr):
     )
     eps = np.where(rr, 0.5 * np.sign(a.real - b.real), 0.0)
     DS, S, IS = (np.where(rr, v.real, v) for v in (DS, S, IS))
-    return RealKernelEntries(DS=DS, S=S, IS=IS, eps=eps)
-
-
-def _scalar_if(e: RealKernelEntries, a, b) -> RealKernelEntries:
-    if np.ndim(a) or np.ndim(b):
-        return e
-    return RealKernelEntries(DS=complex(e.DS), S=complex(e.S), IS=complex(e.IS),
-                             eps=float(e.eps))
+    return RealKernelEntries(*(_as_scalar(v) for v in (DS, S, IS, eps)))
 
 
 def _kernel_arrays(a, b, params: EnsembleParams) -> RealKernelEntries:
@@ -334,7 +327,7 @@ def kernel_entries(a, b, params: EnsembleParams) -> RealKernelEntries:
     are real-valued.  Array arguments broadcast against each other and give
     arrays of entries; scalar arguments give Python scalars.
     """
-    return _scalar_if(_kernel_arrays(a, b, params), a, b)
+    return _kernel_arrays(a, b, params)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +351,7 @@ def density_complex(z, params: EnsembleParams):
     u = z.real**2 + z.imag**2
     bulk = _reg_p(L, u) - lower_reg_gamma(L + N - 1.0, u)
     val = density_crossover_profile(z.imag) * bulk
-    return float(val) if np.ndim(val) == 0 else val
+    return _as_scalar(val)
 
 
 # graded angle panels of density_complex_azimuthal; with 8 its relative error
@@ -387,7 +380,7 @@ def density_complex_azimuthal(r, params: EnsembleParams):
     theta, tw = _gl_nodes(edges, 12)
     out[off] = 2.0 * np.sum(density_complex(ro[..., None] * np.exp(1j * theta), params) * tw,
                             axis=(-2, -1))
-    return float(out) if out.ndim == 0 else out
+    return _as_scalar(out)
 
 
 def density_real(x, params: EnsembleParams):
@@ -402,7 +395,7 @@ def density_real(x, params: EnsembleParams):
     u = x * x
     bulk = (_reg_p(L, u) - lower_reg_gamma(L + N - 1.0, u)) / math.sqrt(2.0 * math.pi)
     val = bulk + helper_t(x, x, params) + helper_rN(x, x, params)
-    return float(val) if np.ndim(val) == 0 else val
+    return _as_scalar(val)
 
 
 # ---------------------------------------------------------------------------
@@ -598,8 +591,7 @@ def limit_kernel_entries(a, b, u: float | None = None) -> RealKernelEntries:
         s = s * 0.5 * sp.erfc(u * (p + q) / math.sqrt(2.0))
         sc = sc * 0.5 * sp.erfc(u * (p + q.conj()) / math.sqrt(2.0))
     is_rr = -0.5 * sp.erf((p.real - q.real) / math.sqrt(2.0))
-    e = _block_entries(p, q, s, sc, 0.0, 0.0, is_rr)
-    return _scalar_if(e, a, b)
+    return _block_entries(p, q, s, sc, 0.0, 0.0, is_rr)
 
 
 def limit_kernels(points, u, regime: str, alpha: float) -> float:
@@ -655,7 +647,7 @@ def density_real_edge_profile(xi):
         0.5 * sp.erfc(math.sqrt(2.0) * xi)
         + np.exp(-xi * xi) * sp.erfc(-xi) / (2.0 * math.sqrt(2.0))
     ) / math.sqrt(2.0 * math.pi)
-    return float(val) if val.ndim == 0 else val
+    return _as_scalar(val)
 
 
 def density_crossover_profile(v):
@@ -666,7 +658,7 @@ def density_crossover_profile(v):
     """
     av = np.abs(np.asarray(v, dtype=float))
     val = math.sqrt(2.0 / math.pi) * av * erfcx(math.sqrt(2.0) * av)
-    return float(val) if val.ndim == 0 else val
+    return _as_scalar(val)
 
 
 def density_real_origin_limit(x, L: float):
@@ -677,7 +669,7 @@ def density_real_origin_limit(x, L: float):
     """
     x = np.asarray(x, dtype=float)
     val = _reg_p(L, x * x) / math.sqrt(2.0 * math.pi) + _t(x, x, L).real
-    return float(val) if val.ndim == 0 else val
+    return _as_scalar(val)
 
 
 def density_complex_origin_limit(z, L: float):
@@ -690,7 +682,7 @@ def density_complex_origin_limit(z, L: float):
     if np.any(z.imag <= 0.0):
         raise ValueError("origin profile needs strictly upper-half-plane points")
     val = density_crossover_profile(z.imag) * _reg_p(L, z.real**2 + z.imag**2)
-    return float(val) if np.ndim(val) == 0 else val
+    return _as_scalar(val)
 
 
 def expected_real_count(params: EnsembleParams) -> float:

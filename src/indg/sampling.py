@@ -7,6 +7,9 @@ the singular values of X and its distribution is the induced Ginibre density
     p(G) ∝ det(G†G)^{βL/2} exp(−(β/2) Tr G†G).
 
 The polar route U·(X†X)^{1/2} with Haar U draws from the same distribution.
+
+quadratised_draws is the one quadratised sampler, and sample_induced_quadratise
+its one-stream case.  Only quadratise builds W; no sampler calls it.
 """
 
 from dataclasses import dataclass
@@ -22,6 +25,7 @@ __all__ = [
     "quadratise",
     "square_factors",
     "sample_induced_polar",
+    "quadratised_draws",
     "sample_induced_quadratise",
     "log_density",
     "log_normalization",
@@ -149,24 +153,34 @@ def sample_induced_polar(params: EnsembleParams, rng):
     return U @ psd_sqrt(X.conj().T @ X)
 
 
-def sample_induced_quadratise(params: EnsembleParams, rng):
-    """Draw one matrix by quadratising an (N+L) x N Gaussian.
+def quadratised_draws(params: EnsembleParams, rngs):
+    """One quadratised draw from each stream of rngs: a (len(rngs), N, N) stack.
 
-    L=0 needs no reduction (the Gaussian is already square).  An
-    ill-conditioned top block — a probability-zero event — is retried with a
-    fresh draw, _MAX_RETRIES draws in all.
+    The (N+L) x N Gaussians, one per stream, are reduced as one stack to
+    square_factors' G, and W is not built; at L=0 they are returned as drawn.
+    A row whose top block is ill-conditioned — a probability-zero event — is
+    redrawn from its own stream, _MAX_RETRIES draws in all with the stacked
+    one first; after the last, QuadratisationError names that draw's cond(Q₁).
+    Row j is bit-identical to the call on rngs[j] alone.
     """
-    L = params.require_integer_L()
+    N, L, beta = params.N, params.require_integer_L(), params.beta
+    draws = np.stack([sample_gaussian(N + L, N, beta, rng) for rng in rngs])
     if L == 0:
-        return sample_gaussian(params.N, params.N, params.beta, rng)
-    last = None
-    for _ in range(_MAX_RETRIES):
-        X = sample_gaussian(params.N + L, params.N, params.beta, rng)
-        try:
-            return quadratise(X)[0]
-        except QuadratisationError as exc:
-            last = exc
-    raise last
+        return draws
+    draws, _, _, cond = _reduce(draws)
+    for j in np.flatnonzero(~(cond <= _COND_LIMIT)):
+        for attempt in range(1, _MAX_RETRIES):
+            draws[j], _, _, cond[j] = _reduce(sample_gaussian(N + L, N, beta, rngs[j]))
+            if cond[j] <= _COND_LIMIT:
+                break
+        else:
+            raise QuadratisationError(cond[j])
+    return draws
+
+
+def sample_induced_quadratise(params: EnsembleParams, rng):
+    """One matrix quadratised from an (N+L) x N Gaussian, no W: quadratised_draws on [rng]."""
+    return quadratised_draws(params, [rng])[0]
 
 
 def log_normalization(params: EnsembleParams):

@@ -290,6 +290,36 @@ def test_scalar_point_equals_one_element_list():
     assert got == bulk_edge_limit_kernels([z], 0.9, "bulk", 0.5) == 0.3183098861837907
     got = correlations_Rn(z, P2(8, 1.0))
     assert got == correlations_Rn([z], P2(8, 1.0)) == 0.015524156336295702
+    # every pointwise statistic: a scalar point gives a Python scalar, a
+    # one-element array a one-element array of the same value (to rounding:
+    # kernel_KN's series sums in another order for an array)
+    from indg import real_ensemble as re1
+    p2, p1 = P2(8, 1.0), EnsembleParams(N=8, L=3.0, beta=1)
+    cases = [
+        (lambda x: kernel_KN(x, 0.3 - 0.1j, p2), 0.7 + 0.2j, complex),
+        (lambda x: density(x, p2), 1.1, float),
+        (lambda x: density_ring_limit(x, 0.5), 1.1, float),
+        (density_edge_profile, 0.3, float),
+        (lambda x: re1.helper_sN(x, 0.4, p1), 1.1, float),
+        (lambda x: re1.helper_sN(x, 0.4 + 0.1j, p1), 1.1, complex),
+        (lambda x: re1.helper_t(x, x, p1), 1.1, float),
+        (lambda x: re1.helper_rN(x, x, p1), 1.1, float),
+        (lambda x: re1.density_complex(x, p1), 0.3 + 0.4j, float),
+        (lambda x: re1.density_complex_azimuthal(x, p1), 1.1, float),
+        (lambda x: re1.density_real(x, p1), 1.1, float),
+        (re1.density_real_edge_profile, 0.3, float),
+        (re1.density_crossover_profile, 0.3, float),
+        (lambda x: re1.density_real_origin_limit(x, 2.0), 1.1, float),
+        (lambda x: re1.density_complex_origin_limit(x, 0.0), 0.3 + 0.4j, float),
+        (lambda x: re1.kernel_entries(x, 0.5, p1).DS, 0.3, complex),
+        (lambda x: re1.kernel_entries(x, 0.5, p1).eps, 0.3, float),
+        (lambda x: re1.limit_kernel_entries(x, 0.2 + 0.5j).IS, 0.3, complex),
+    ]
+    for f, x, kind in cases:
+        scalar, one = f(x), f(np.array([x]))
+        assert type(scalar) is kind, (f, type(scalar))
+        assert type(one) is np.ndarray and one.shape == (1,), (f, one)
+        assert abs(one[0] - scalar) <= 1e-14 * abs(scalar), f
 
 
 def test_integrate_radial():

@@ -171,7 +171,6 @@ def test_ill_conditioned_row_is_redrawn_on_its_stream(monkeypatch):
             X[0] = 0.0  # a zero row of the top block makes Q1 singular
         return X
 
-    monkeypatch.setattr(harness, "sample_gaussian", singular_first_draw)
     monkeypatch.setattr(sampling, "sample_gaussian", singular_first_draw)
     X = np.stack([singular_first_draw(22, 20, 2, harness._index_rng(seed, i)) for i in range(8)])
     assert square_factors(X)[1].tolist() == [i == bad for i in range(8)]
@@ -179,6 +178,38 @@ def test_ill_conditioned_row_is_redrawn_on_its_stream(monkeypatch):
     for i in range(8):
         G = sample_induced_quadratise(params, harness._index_rng(seed, i))
         assert chunk[i].tobytes() == G.tobytes()
+
+
+def test_ill_quadratised_half_of_a_pair_is_redrawn_on_its_stream(monkeypatch):
+    # index 3's quadratised Gaussian, drawn after its polar matrix, has a
+    # singular top block; its pair is the polar draw followed by
+    # sample_induced_quadratise on the same stream, which redraws it
+    params = EnsembleParams(N=6, L=2, beta=1)
+    seed, bad = 41, 3
+    rng = harness._index_rng(seed, bad)
+    sampling.sample_induced_polar(params, rng)
+    after_polar = rng.bit_generator.state
+    draw, ill_draws = sample_gaussian, []
+
+    def singular_after_polar(rows, cols, beta, rng):
+        first = rng.bit_generator.state == after_polar
+        X = draw(rows, cols, beta, rng)
+        if first:
+            X[0] = 0.0  # a zero row of the top block makes Q1 singular
+            ill_draws.append(X)
+        return X
+
+    monkeypatch.setattr(sampling, "sample_gaussian", singular_after_polar)
+    seen = []
+    monkeypatch.setattr(harness, "eigenvalues", lambda G, beta: seen.append(G) or G)
+    harness._sampler_pairs_chunk(params, seed, 0, 6)
+    assert len(ill_draws) == 1 and square_factors(ill_draws[0][None])[1][0]
+    for i in range(6):
+        rng = harness._index_rng(seed, i)
+        polar = sampling.sample_induced_polar(params, rng)
+        assert seen[0][i, 0].tobytes() == polar.tobytes()
+        assert seen[0][i, 1].tobytes() == sample_induced_quadratise(params, rng).tobytes()
+    assert len(ill_draws) == 2  # the scalar sampler met the same ill draw
 
 
 def test_failing_stacked_eigvals_names_the_salted_index(monkeypatch):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -159,6 +160,24 @@ def test_eigenvalues_stack_rows_match_single_calls(beta, count, n):
         assert ev[j].astype(complex).tobytes() == one.astype(complex).tobytes()
 
 
+@pytest.mark.parametrize("beta", [1, 2])
+def test_eigenvalues_does_not_copy_its_stack(beta):
+    # a 4 x 128 x 128 stack is 0.5 MiB (beta=1) or 1 MiB (beta=2); a stack of
+    # the dtype eigvals takes goes to it as it is, and the finiteness check
+    # builds no zero imaginary part, so nothing near a stack's size is held
+    rng = np.random.default_rng(11 + beta)
+    G = np.stack([sample_gaussian(128, 128, beta, rng) for _ in range(4)])
+    eigenvalues(G[:1], beta=beta)
+    tracemalloc.start()
+    try:
+        ev = eigenvalues(G, beta=beta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * 2 ** 20
+    assert ev.tobytes() == np.linalg.eigvals(G.copy()).tobytes()
+
+
 @pytest.mark.parametrize("N, L, draws", [(128, 0, 200), (16, 4, 300)])
 def test_eigenvalues_beta1_real_count_matches_schur_blocks(N, L, draws):
     # reference: 1x1 blocks of scipy's real Schur form (dgees), an
@@ -270,6 +289,8 @@ def test_eigenvalues_input_validation():
     stack[2, 0, 1] = np.nan
     with pytest.raises(ValueError, match="finite"):
         eigenvalues(stack, beta=1)
+    with pytest.raises(ValueError, match="finite"):
+        eigenvalues(np.array([[1.0, complex(0.0, np.inf)], [0.0, 1.0]]), beta=2)
     with pytest.raises(ValueError, match="real matrix"):
         eigenvalues(np.stack([np.eye(2), 1j * np.eye(2)]), beta=1)
 

@@ -287,13 +287,39 @@ def test_sampler_retries_a_bounded_number_of_fresh_draws(monkeypatch):
 
     assert "max_retries" not in inspect.signature(sample_induced_quadratise).parameters
     calls = []
+    reduce = sampling._reduce
 
-    def always_singular(X):
-        calls.append(X)
-        raise QuadratisationError(1e15)
+    def always_ill(X):
+        # the reduction reports every top block ill-conditioned
+        calls.append(np.reshape(X, X.shape[-2:]))
+        G, Q, O1, cond = reduce(X)
+        return G, Q, O1, np.full_like(cond, np.inf)
 
-    monkeypatch.setattr(sampling, "quadratise", always_singular)
-    with pytest.raises(QuadratisationError):
+    monkeypatch.setattr(sampling, "_reduce", always_ill)
+    with pytest.raises(QuadratisationError) as info:
         sample_induced_quadratise(EnsembleParams(N=4, L=2, beta=2), np.random.default_rng(5))
     assert len(calls) == sampling._MAX_RETRIES == 3
     assert not np.array_equal(calls[0], calls[1])  # each retry is a fresh draw
+    assert not np.array_equal(calls[1], calls[2])
+    assert info.value.cond == np.inf  # the last draw's cond(Q1)
+
+
+def test_samplers_never_build_w(monkeypatch):
+    # quadratise, the one function that builds W, is not called on a
+    # well-conditioned draw by the samplers or by the harness
+    from indg import sampling
+    from indg.harness import run_mc
+
+    def no_quadratise(X):
+        raise AssertionError("quadratise called")
+
+    monkeypatch.setattr(sampling, "quadratise", no_quadratise)
+    for params in (EnsembleParams(N=5, L=3, beta=1), EnsembleParams(N=4, L=2, beta=2)):
+        G = sample_induced_quadratise(params, np.random.default_rng(3))
+        assert G.shape == (params.N, params.N)
+        rngs = [np.random.default_rng(s) for s in (3, 4)]
+        stack = sampling.quadratised_draws(params, rngs)
+        assert stack.shape == (2, params.N, params.N)
+        assert stack[0].tobytes() == G.tobytes()
+    assert len(run_mc("hole-prob", 3, 4, workers=1)) == 3
+    assert len(run_mc("sampler-equiv", 3, 2, workers=1)) == 2
