@@ -10,13 +10,15 @@ incomplete-gamma antiderivatives.
 
 The kernel layer is array-native: the helpers and kernel_entries broadcast
 over point arrays, the special functions are evaluated once per point (the
-IS sum once per point and sum index j), and only the s_N series (the
-truncated exponential series of special.log_exp_series, shared with the
-complex ensemble) and the IS sum (sum index on a trailing axis) run per
-point pair.  A correlation therefore evaluates all of its point pairs in
-one pass.  Every incomplete-gamma term on the real axis (t, r_N, the IS
-antiderivatives and the skew inner product's tail integrals) is the one
-half-line Gaussian moment of _log_half_moment.
+IS antiderivatives once per real point and sum index j), and only the s_N
+series (the truncated exponential series of special.log_exp_series, shared
+with the complex ensemble) and the IS sum run per point pair.  s(a, b) and
+s(a, conj b) share one series pass on the stacked [ab, a conj(b)], and the
+IS sum runs on the real/real pairs only, in row blocks of bounded size.  A
+correlation therefore evaluates all of its point pairs in one pass.  Every
+incomplete-gamma term on the real axis (t, r_N, the IS antiderivatives and
+the skew inner product's tail integrals) is the one half-line Gaussian
+moment of _log_half_moment.
 
 The module also provides the closed-form real/complex densities, the partial
 joint eigenvalue density, skew-orthogonal polynomial utilities with a
@@ -80,6 +82,9 @@ __all__ = [
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG2 = math.log(2.0)
+# bytes of one (pairs, N/2) array in a block of the real/real IS sum: 131
+# pairs at N=1000, more than the 100 of a 10-real-point correlation
+_IS_BLOCK_BYTES = 1 << 19
 
 
 def _require_real_even(params: EnsembleParams):
@@ -233,27 +238,38 @@ def _tau_odd_logmag(j, x, L: float):
     return 1.0, np.where(j == 0, lq, mono)
 
 
-def _is_real_real(x, y, params: EnsembleParams):
+def _is_real_real(x, ix, y, iy, params: EnsembleParams):
     """IS entry for real arguments, via the exact antiderivative sum.
 
-    Elementwise over broadcast x and y; the sum index j runs along a trailing
-    axis and each element's sum is scaled by its own largest term.
+    One value per pair (x[ix[k]], y[iy[k]]).  The antiderivatives are
+    evaluated once per point used and sum index j; the pair sums run with j
+    on a trailing axis, in row blocks of at most _IS_BLOCK_BYTES per
+    (pairs, N/2) array, so memory does not grow with the number of pairs.
+    Each row's sum is scaled by its own largest term and does not depend on
+    the block.
     """
     N, L = params.N, params.L
     j = np.arange(N // 2, dtype=float)
-    x = np.asarray(x, dtype=float)[..., None]
-    y = np.asarray(y, dtype=float)[..., None]
+    ux, ix = np.unique(ix, return_inverse=True)
+    uy, iy = np.unique(iy, return_inverse=True)
+    x, y = x[ux, None], y[uy, None]
     lr = -_HALF_LOG_2PI - log_gamma(L + 2.0 * j + 1.0)
     se_x, le_x = _tau_even_logmag(j, x, L)
     so_x, lo_x = _tau_odd_logmag(j, x, L)
     se_y, le_y = _tau_even_logmag(j, y, L)
     so_y, lo_y = _tau_odd_logmag(j, y, L)
-    l1 = le_x + lo_y + lr
-    l2 = lo_x + le_y + lr
-    peak = np.maximum(l1.max(axis=-1), l2.max(axis=-1))[..., None]
-    peak = np.where(np.isfinite(peak), peak, 0.0)
-    terms = se_x * so_y * np.exp(l1 - peak) - so_x * se_y * np.exp(l2 - peak)
-    return np.sum(terms, axis=-1) * np.exp(peak[..., 0])
+    rows = max(1, _IS_BLOCK_BYTES // (8 * j.size))
+    out = np.empty(ix.size)
+    for i in range(0, ix.size, rows):
+        bx, by = ix[i:i + rows], iy[i:i + rows]
+        l1 = le_x[bx] + lo_y[by] + lr
+        l2 = lo_x[bx] + le_y[by] + lr
+        peak = np.maximum(l1.max(axis=-1), l2.max(axis=-1))[..., None]
+        peak = np.where(np.isfinite(peak), peak, 0.0)
+        terms = (se_x[bx] * so_y * np.exp(l1 - peak)
+                 - so_x * se_y[by] * np.exp(l2 - peak))
+        out[i:i + rows] = np.sum(terms, axis=-1) * np.exp(peak[..., 0])
+    return out
 
 
 @dataclass(frozen=True)
@@ -299,6 +315,11 @@ def _block_entries(a, b, s, sc, u_ba, u_ab, is_rr):
     return RealKernelEntries(*(_as_scalar(v) for v in (DS, S, IS, eps)))
 
 
+def _point_index(z, mask):
+    """Flat index into z of each element of z broadcast to mask.shape where mask holds."""
+    return np.broadcast_to(np.arange(z.size).reshape(z.shape), mask.shape)[mask]
+
+
 def _kernel_arrays(a, b, params: EnsembleParams) -> RealKernelEntries:
     """Array core of kernel_entries: entries over broadcast point arrays a, b.
 
@@ -310,11 +331,20 @@ def _kernel_arrays(a, b, params: EnsembleParams) -> RealKernelEntries:
     a, b = _upper(a), _upper(b)
     a_real, b_real = a.imag == 0.0, b.imag == 0.0
     lda, ldb = _log_dress(a, L), _log_dress(b, L)
-    s = _s_series(a * b, lda + ldb, N, L)
-    sc = _s_series(a * b.conj(), lda + ldb.conj(), N, L) if not b_real.all() else s
+    if b_real.all():
+        s = sc = _s_series(a * b, lda + ldb, N, L)
+    else:
+        # |ab| = |a conj(b)|, so the stack keeps the rescale cadence of either half
+        s, sc = _s_series(np.stack([a * b, a * b.conj()]),
+                          np.stack([lda + ldb, lda + ldb.conj()]), N, L)
     u_ba = _r(b.real, a, N, L) + _t(b.real, a, L) if b_real.any() else 0.0
     u_ab = _r(a.real, b, N, L) + _t(a.real, b, L) if a_real.any() else 0.0
-    is_rr = _is_real_real(a.real, b.real, params) if (a_real & b_real).any() else 0.0
+    rr = a_real & b_real
+    is_rr = 0.0
+    if rr.any():
+        is_rr = np.zeros(rr.shape)
+        is_rr[rr] = _is_real_real(a.real.ravel(), _point_index(a, rr),
+                                  b.real.ravel(), _point_index(b, rr), params)
     return _block_entries(a, b, s, sc, u_ba, u_ab, is_rr)
 
 

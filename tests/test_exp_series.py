@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
+from indg import special
 from indg.complex_ensemble import kernel_KN, origin_kernel
 from indg.real_ensemble import helper_sN
 from indg.sampling import EnsembleParams
@@ -146,6 +147,51 @@ def test_series_element_independent_of_array():
         grid = log_exp_series(zeta, n, L)
         single = np.array([complex(log_exp_series(v, n, L)) for v in zeta])
         assert np.array_equal(grid, single), (n, L)
+    # inputs of up to special._SMALL elements run element by element in
+    # Python, larger ones on arrays: every window of sizes 1-6 of a pool has
+    # the bits the pool gets as one array, signed zeros included.  The huge
+    # pool (|zeta| >= 1e22) rescales at every step; the cadence is set by the
+    # whole array, so the two pools are not mixed.
+    assert 1 <= special._SMALL < 6
+    rng = np.random.default_rng(4)
+    ordinary = np.concatenate([
+        [0j, complex(0.0, -0.0), complex(-0.0, 0.0), complex(-40.0, -0.0)],
+        (rng.normal(size=5) + 1j * rng.normal(size=5)) * 12.0,
+    ])
+    huge = np.array([1e22, complex(-3e22, 1e21), complex(0.0, -2e25), complex(5e30, -0.0),
+                     complex(-1e22, -0.0), 4e23 + 4e23j, complex(-0.0, 1e22)])
+    for n in (1, 2, 17, 127):
+        for L in (0.0, 0.5, 32.0):
+            for pool in (ordinary, huge):
+                ref = bits(log_exp_series(pool, n, L))
+                for size in range(1, 7):
+                    for start in range(pool.size - size + 1):
+                        got = bits(log_exp_series(pool[start:start + size], n, L))
+                        assert np.array_equal(got, ref[start:start + size]), (n, L, size, start)
+
+
+def bits(values):
+    """The raw bits of a complex array, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(values, dtype=complex).view(np.uint64).reshape(-1, 2)
+
+
+def test_series_non_finite_input_takes_array_path():
+    # a non-finite zeta, or one whose modulus overflows, gives at any size
+    # what it gives inside a large array: nan for n >= 2, 1/Gamma(L+1) at
+    # n=1.  Near overflow h overflows to nan by n=17; 1e308 - 1e308j has a
+    # finite modulus and runs element by element.
+    fill = np.arange(1.0, 9.0)
+    non_finite = (np.inf, -np.inf, np.nan, complex(np.inf, 1.0), complex(1.0, np.nan))
+    for zeta in non_finite + (complex(1e308, 1e308), complex(1e308, -1e308)):
+        for n in (1, 2, 17):
+            with np.errstate(all="ignore"):
+                single = log_exp_series(zeta, n, 0.5)
+                inside = log_exp_series(np.concatenate([[zeta], fill]), n, 0.5)[0]
+            assert np.array_equal(bits(single), bits(inside)), (zeta, n)
+            if n == 1:
+                assert single == -sp.gammaln(1.5)
+            elif zeta in non_finite or n == 17:
+                assert np.isnan(single.real) and np.isnan(single.imag), (zeta, n)
 
 
 def test_kernel_KN_memory_does_not_grow_with_N():

@@ -1,6 +1,7 @@
 """Pfaffian (beta=1) finite-N statistics: kernel entries against definitional
 sums, densities, joint-density cross-checks, counts, limits, Monte Carlo."""
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from indg import linalg
+from indg import real_ensemble
 from indg.complex_ensemble import (
     bulk_edge_limit_kernels,
     correlations_Rn,
@@ -217,6 +219,25 @@ def test_kernel_entries_broadcast_equals_scalar_calls(N):
                 for f in ("DS", "S", "IS", "eps"):
                     want, got = getattr(e, f), getattr(grid, f)[i, j]
                     assert abs(got - want) <= 1e-13 * abs(want), (N, L, i, j, f, got, want)
+
+
+def test_kernel_entries_memory_does_not_grow_with_pairs():
+    # 60 real points at N=1000: 3600 real/real pairs, whose IS sum in one
+    # (pairs, N/2) pass would hold about 70 MB; in row blocks it holds a few
+    # blocks, with each entry's bits those of a scalar call
+    params = P1(1000, 32.0)
+    x = np.linspace(-0.9, 0.9, 60) * math.sqrt(1032.0)
+    kernel_entries(x[:2, None], x[None, :2], params)  # first-call set-up stays out of the peak
+    tracemalloc.start()
+    try:
+        grid = kernel_entries(x[:, None], x[None, :], params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.IS.shape == (60, 60)
+    assert peak < 16 * real_ensemble._IS_BLOCK_BYTES, peak
+    for i, j in ((0, 59), (17, 3), (30, 30), (44, 58), (59, 0)):
+        assert grid.IS[i, j] == kernel_entries(x[i], x[j], params).IS, (i, j)
 
 
 def is_real_real_mp(x, y, N, L):
