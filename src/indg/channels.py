@@ -70,7 +70,7 @@ class Superoperator:
         m = np.asarray(self.matrix)
         if m.shape != (k2, d2):
             raise ValueError(f"matrix must be {k2}x{d2}, got {m.shape}")
-        if not np.all(np.isfinite(m.view(float))):
+        if not np.all(np.isfinite(m)):
             raise ValueError("superoperator has non-finite entries")
 
 

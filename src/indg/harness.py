@@ -8,15 +8,14 @@ index ranges salt .. salt+n-1; a failing sample raises WorkerError naming its
 index and master seed.
 
 The work is mapped over contiguous chunks of indices, not single indices.
-A chunk holds as many draws as fit _CHUNK_BYTES (256 KiB) of complex
-factors, raised where that is fewer to the smallest k with
-k * (matrices per index) * m > 500, m the side of the matrices eigvals gets:
-numpy's eigvals releases the GIL for a stack of k m x m matrices only past
-that size, and holds it throughout for a single m x m with m <= 500.  So a
-chunk holds 33 hole-prob and 40 real-density draws (the byte budget), 4 at
-N = 128, 6 sampler-equiv pairs, and 6, 3 and 3 channel maps at
-(d, k) = (14, 10), (14, 14) and (14, 18).  Each index draws from its own
-stream.  The chunk's streams go to sampling.quadratised_draws, the one
+A chunk holds the fewest k draws with k * m > 500, m the summed side of the
+matrices one index sends to eigvals: numpy's eigvals releases the GIL for a
+stack of k m x m matrices only past that size, and holds it throughout for a
+single m x m with m <= 500.  So a chunk holds 26 hole-prob and 32
+real-density draws, 4 at N = 128, 6 sampler-equiv pairs, and 6, 3 and 3
+channel maps at (d, k) = (14, 10), (14, 14) and (14, 18).  _run_chunk turns
+each index into its own stream and hands the chunk function the list.
+The chunk's streams go to sampling.quadratised_draws, the one
 quadratised sampler: one numpy call per reduction layer, no W, ill rows
 redrawn there; sampler-equiv first draws each index's polar matrix.  The
 chunk's matrices then go to one eigvals call.  channel-ring reduces each map
@@ -74,12 +73,6 @@ DEFAULT_BINS = 64
 # modulus bin edges in rescaled units, |lambda| / sqrt(N+L)
 _EDGES = np.linspace(0.0, 1.2, DEFAULT_BINS + 1)
 _BIN_ORDER = 12  # Gauss-Legendre nodes per histogram bin for the expectations
-# Byte budget of one chunk's stack of rows x rows complex factors: 33 draws
-# of hole-prob's 22 x 22, 40 of real-density's 20 x 20.  From N+L ~ 128 up
-# it gives one draw or none, and _chunk_length's floor (enough draws for
-# eigvals to drop the GIL) decides instead.  Twice the budget doubles the
-# stacks' memory for no speed.
-_CHUNK_BYTES = 256 * 1024
 
 
 @dataclass
@@ -153,11 +146,10 @@ def _index_rng(master_seed, index):
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(index,)))
 
 
-def _chunk_length(rows, side, per_index=1):
-    """Samples per chunk: the (rows x rows) complex matrices that fit _CHUNK_BYTES,
-    raised to the fewest k whose k * per_index eigvals matrices of side x side
-    make a stack past eigvals' GIL-release size, k * per_index * side > 500."""
-    return max(_CHUNK_BYTES // (16 * rows * rows), 500 // (per_index * side) + 1)
+def _chunk_length(side):
+    """Samples per chunk: the fewest k with k * side > 500, eigvals' GIL-release
+    size, side being the summed side of the matrices one index sends to eigvals."""
+    return 500 // side + 1
 
 
 @cache
@@ -197,23 +189,24 @@ def _one_blas_thread():
 
 
 def _run_chunk(fn, master_seed, start, stop):
-    """[fn(start, stop)]; if that raises, fn on each index alone, so a failure names its index."""
+    """[fn(streams of start .. stop-1)]; if that raises, fn on each index's stream
+    alone, so a failure names its index."""
     if stop - start > 1:
         try:
-            return [fn(start, stop)]
+            return [fn([_index_rng(master_seed, i) for i in range(start, stop)])]
         except Exception:
             pass  # the rerun below gives the same results or names the failing index
     out = []
     for i in range(start, stop):
         try:
-            out.append(fn(i, i + 1))
+            out.append(fn([_index_rng(master_seed, i)]))
         except Exception as exc:
             raise WorkerError(i, master_seed, exc) from exc
     return out
 
 
 def _map_chunks(fn, n, size, workers, master_seed, salt=0):
-    """fn(start, stop) over consecutive chunks of at most `size` of salt .. salt+n-1.
+    """fn on the streams of consecutive chunks of at most `size` of salt .. salt+n-1.
 
     Returns the chunk results in index order; a chunk that had to be rerun
     index by index contributes one result per index, so concatenating the
@@ -293,36 +286,33 @@ def _bin_table(var, edges, counts, expected):
 
 
 # --------------------------------------------------------------------------
-# chunk work: each draws indices start .. stop-1 from their own spawn streams
+# chunk work: each draws one sample from each of its spawn streams
 
 
-def _spectra_chunk(params, master_seed, start, stop):
-    """Eigenvalues of the quadratised draws on spawn indices start .. stop-1, one row each."""
-    rngs = [_index_rng(master_seed, i) for i in range(start, stop)]
+def _spectra_chunk(params, rngs):
+    """Eigenvalues of one quadratised draw per stream, one row each."""
     return eigenvalues(quadratised_draws(params, rngs), params.beta)
 
 
 def _map_spectra(params, n_samples, workers, master_seed, salt=0):
     """Eigenvalue rows of n_samples quadratised draws, in index order."""
-    size = _chunk_length(params.N + params.require_integer_L(), params.N)
-    return np.concatenate(_map_chunks(partial(_spectra_chunk, params, master_seed),
-                                      n_samples, size, workers, master_seed, salt))
+    return np.concatenate(_map_chunks(partial(_spectra_chunk, params), n_samples,
+                                      _chunk_length(params.N), workers, master_seed, salt))
 
 
-def _sampler_pairs_chunk(params, master_seed, start, stop):
-    """|eigenvalues| of a polar and then a quadratised draw from each index's stream.
+def _sampler_pairs_chunk(params, rngs):
+    """|eigenvalues| of a polar and then a quadratised draw from each stream.
 
     Row j, of shape (2, N), holds the polar and the quadratised moduli of
-    index start + j.
+    stream j.
     """
-    rngs = [_index_rng(master_seed, i) for i in range(start, stop)]
     polar = np.stack([sample_induced_polar(params, rng) for rng in rngs])
     pairs = np.stack([polar, quadratised_draws(params, rngs)], axis=1)
     return np.abs(eigenvalues(pairs, params.beta))
 
 
-def _channel_chunk(geometry, master_seed, start, stop):
-    """Quadratised spectra (one row per index) and squared norms of random maps (d, k).
+def _channel_chunk(geometry, rngs):
+    """Quadratised spectra (one row per stream) and squared norms of random maps (d, k).
 
     Each map is reduced on its own, since QR and SVD overlap across the
     worker threads one matrix at a time, and a stacked reduction would hold
@@ -331,10 +321,10 @@ def _channel_chunk(geometry, master_seed, start, stop):
     """
     d, k = geometry
     side = min(d, k) ** 2
-    factors = np.empty((stop - start, side, side), dtype=complex)
-    norms = np.empty(stop - start)
-    for j in range(stop - start):
-        phi = random_complementary_map(d, k, _index_rng(master_seed, start + j))
+    factors = np.empty((len(rngs), side, side), dtype=complex)
+    norms = np.empty(len(rngs))
+    for j, rng in enumerate(rngs):
+        phi = random_complementary_map(d, k, rng)
         factors[j] = quadratised_factor(phi)
         norms[j] = np.sum(np.abs(phi.matrix) ** 2)
     return eigenvalues(factors, beta=2), norms
@@ -404,9 +394,8 @@ def _exp_sampler_equiv(master_seed, n_samples, workers):
     for beta, salt in ((1, 0), (2, 10 ** 6)):
         params = EnsembleParams(N=50, L=10, beta=beta)
         mods = np.concatenate(_map_chunks(
-            partial(_sampler_pairs_chunk, params, master_seed), n_samples,
-            _chunk_length(params.N + params.require_integer_L(), params.N, 2), workers,
-            master_seed, salt))
+            partial(_sampler_pairs_chunk, params), n_samples, _chunk_length(2 * params.N),
+            workers, master_seed, salt))
         t, p = ks_two_sample(np.sort(mods[:, 0], axis=None), np.sort(mods[:, 1], axis=None))
         meta = {"N": params.N, "L": params.L, "beta": beta, "n_samples": n_samples,
                 "ks_statistic": t}
@@ -421,9 +410,8 @@ def _exp_channel_ring(master_seed, n_samples, workers):
     for g, (d, k) in enumerate(geometries):
         r_in, r_out = predicted_ring(d, k)
         spectra, traces = (np.concatenate(part) for part in zip(*_map_chunks(
-            partial(_channel_chunk, (d, k), master_seed), n_samples,
-            _chunk_length(max(d, k) ** 2, min(d, k) ** 2), workers, master_seed,
-            g * 10 ** 6)))
+            partial(_channel_chunk, (d, k)), n_samples, _chunk_length(min(d, k) ** 2),
+            workers, master_seed, g * 10 ** 6)))
         # each map's leading eigenvalue (largest modulus) sits outside the ring
         mod = np.abs(spectra)
         mod = np.ma.masked_array(mod, np.arange(mod.shape[1]) == mod.argmax(axis=1)[:, None])

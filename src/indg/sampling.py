@@ -58,6 +58,7 @@ class EnsembleParams:
     def __post_init__(self):
         if int(self.N) != self.N or self.N < 1:
             raise ValueError("N must be a positive integer")
+        object.__setattr__(self, "N", int(self.N))
         if not np.isfinite(self.L) or self.L < 0:
             raise ValueError("L must be a finite real >= 0")
         if self.beta not in (1, 2):
@@ -206,7 +207,7 @@ def log_density(G, params: EnsembleParams):
     N = params.N
     if G.shape != (N, N):
         raise ValueError(f"expected a {N}x{N} matrix, got {G.shape}")
-    if not np.all(np.isfinite(G.real)) or not np.all(np.isfinite(G.imag)):
+    if not np.all(np.isfinite(G)):
         raise ValueError("matrix entries must be finite")
     beta, L = params.beta, params.L
     if beta == 2:

@@ -24,13 +24,13 @@ def test_replay_table_matches_the_harness_draws(monkeypatch):
     seen = set()
     spectra_chunk, channel_chunk = harness._spectra_chunk, harness._channel_chunk
 
-    def record_spectra(params, master_seed, start, stop):
-        seen.update((params, index) for index in range(start, stop))
-        return spectra_chunk(params, master_seed, start, stop)
+    def record_spectra(params, rngs):
+        seen.update((params, rng.bit_generator.seed_seq.spawn_key[0]) for rng in rngs)
+        return spectra_chunk(params, rngs)
 
-    def record_channel(geometry, master_seed, start, stop):
-        seen.update((tuple(geometry), index) for index in range(start, stop))
-        return channel_chunk(geometry, master_seed, start, stop)
+    def record_channel(geometry, rngs):
+        seen.update((tuple(geometry), rng.bit_generator.seed_seq.spawn_key[0]) for rng in rngs)
+        return channel_chunk(geometry, rngs)
 
     monkeypatch.setattr(harness, "_spectra_chunk", record_spectra)
     monkeypatch.setattr(harness, "_channel_chunk", record_channel)

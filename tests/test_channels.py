@@ -137,6 +137,17 @@ def test_predicted_ring_radii():
     assert predicted_ring(9, 9) == (0.0, 1.0 / 3.0)
 
 
+def test_superoperator_accepts_a_fortran_ordered_matrix():
+    # finiteness is checked on the values, whatever the memory layout
+    phi = random_complementary_map(3, 5, np.random.default_rng(12))
+    fortran = Superoperator(matrix=np.asfortranarray(phi.matrix), spec=phi.spec)
+    assert quadratised_spectrum(fortran).tobytes() == quadratised_spectrum(phi).tobytes()
+    m = np.asfortranarray(phi.matrix.copy())
+    m[2, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        Superoperator(matrix=m, spec=phi.spec)
+
+
 def test_superoperator_norm_scaling():
     # E[Tr Phi† Phi] = d (k+1) / k
     rng = np.random.default_rng(83)

@@ -305,7 +305,7 @@ def test_usage_errors(runner, tmp_path):
 
 
 def _failing_spectrum(exc):
-    def spectra_chunk(params, master_seed, start, stop):
+    def spectra_chunk(params, rngs):
         raise exc
     return spectra_chunk
 

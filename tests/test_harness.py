@@ -81,16 +81,20 @@ def test_resolve_workers(monkeypatch):
     assert resolve_workers() <= 2
 
 
+def _spawn_indices(rngs):
+    return [rng.bit_generator.seed_seq.spawn_key[0] for rng in rngs]
+
+
 def test_map_indices_surfaces_failing_index():
-    def fn(start, stop):
-        if start <= 3 < stop:
+    def fn(rngs):
+        if 3 in _spawn_indices(rngs):
             raise ValueError("boom")
-        return list(range(start, stop))
+        return _spawn_indices(rngs)
 
     # the chunk (2, 4) fails as a whole and is rerun index by index
     with pytest.raises(RuntimeError, match="index 3"):
         _map_chunks(fn, 5, 2, workers=1, master_seed=17)
-    squares = _map_chunks(lambda a, b: [i * i for i in range(a, b)], 5, 2,
+    squares = _map_chunks(lambda rngs: [i * i for i in _spawn_indices(rngs)], 5, 2,
                           workers=2, master_seed=17)
     assert squares == [[0, 1], [4, 9], [16]]
 
@@ -117,18 +121,22 @@ def test_worker_error_names_the_salted_stream(monkeypatch, workers):
 # ---------------------------------------------------------------- stacked chunks
 
 @pytest.mark.parametrize("rows,side,per_index,want", [
-    (160, 128, 1, 4),   # radial-density and real-count L=32: the GIL floor
+    (160, 128, 1, 4),   # radial-density and real-count L=32
     (128, 128, 1, 4),   # real-count L=0
     (196, 100, 1, 6),   # channel-ring (14, 10)
     (196, 196, 1, 3),   # channel-ring (14, 14)
     (324, 196, 1, 3),   # channel-ring (14, 18)
     (60, 50, 2, 6),     # sampler-equiv: a polar and a quadratised draw per index
-    (22, 20, 1, 33),    # hole-prob: the byte budget
-    (20, 16, 1, 40),    # real-density: the byte budget
+    (22, 20, 1, 26),    # hole-prob
+    (20, 16, 1, 32),    # real-density
 ])
 def test_chunk_length_table(rows, side, per_index, want):
-    assert harness._chunk_length(rows, side, per_index) == want
-    assert want * per_index * side > 500  # past eigvals' GIL-release size
+    # rows (N+L, or d**2 for a channel) never enters the rule: draws that
+    # share the side eigvals sees share a chunk length
+    side *= per_index
+    assert harness._chunk_length(side) == want
+    assert want * side > 500  # past eigvals' GIL-release size
+    assert (want - 1) * side <= 500  # and no larger than that needs
 
 
 @pytest.mark.parametrize("M,N,beta", [(22, 20, 2), (160, 128, 1), (160, 128, 2),
@@ -152,7 +160,7 @@ def _stacked_draws(monkeypatch):
                                     EnsembleParams(N=4, L=3, beta=1),
                                     EnsembleParams(N=6, L=0, beta=1)])
 def test_chunk_draws_match_the_scalar_sampler(monkeypatch, params):
-    chunk = _stacked_draws(monkeypatch)(params, 23, 5, 12)
+    chunk = _stacked_draws(monkeypatch)(params, [harness._index_rng(23, i) for i in range(5, 12)])
     for j, index in enumerate(range(5, 12)):
         G = sample_induced_quadratise(params, harness._index_rng(23, index))
         assert chunk[j].tobytes() == G.tobytes()
@@ -174,7 +182,7 @@ def test_ill_conditioned_row_is_redrawn_on_its_stream(monkeypatch):
     monkeypatch.setattr(sampling, "sample_gaussian", singular_first_draw)
     X = np.stack([singular_first_draw(22, 20, 2, harness._index_rng(seed, i)) for i in range(8)])
     assert square_factors(X)[1].tolist() == [i == bad for i in range(8)]
-    chunk = _stacked_draws(monkeypatch)(params, seed, 0, 8)
+    chunk = _stacked_draws(monkeypatch)(params, [harness._index_rng(seed, i) for i in range(8)])
     for i in range(8):
         G = sample_induced_quadratise(params, harness._index_rng(seed, i))
         assert chunk[i].tobytes() == G.tobytes()
@@ -202,7 +210,7 @@ def test_ill_quadratised_half_of_a_pair_is_redrawn_on_its_stream(monkeypatch):
     monkeypatch.setattr(sampling, "sample_gaussian", singular_after_polar)
     seen = []
     monkeypatch.setattr(harness, "eigenvalues", lambda G, beta: seen.append(G) or G)
-    harness._sampler_pairs_chunk(params, seed, 0, 6)
+    harness._sampler_pairs_chunk(params, [harness._index_rng(seed, i) for i in range(6)])
     assert len(ill_draws) == 1 and square_factors(ill_draws[0][None])[1][0]
     for i in range(6):
         rng = harness._index_rng(seed, i)
@@ -222,7 +230,7 @@ def test_failing_stacked_eigvals_names_the_salted_index(monkeypatch):
         return eigenvalues(G, beta)
 
     monkeypatch.setattr(harness, "eigenvalues", eigvals_failing_on_target)
-    # chunks of 33: index 35 sits inside the second chunk, not at its edge
+    # chunks of 26: index 35 sits inside the second chunk, not at its edge
     with pytest.raises(WorkerError, match=r"seed spawn \(19, \(1000035,\)\)") as info:
         harness._map_spectra(params, 40, 2, 19, salt=10 ** 6)
     assert info.value.index == 10 ** 6 + 35
@@ -230,7 +238,7 @@ def test_failing_stacked_eigvals_names_the_salted_index(monkeypatch):
 
 
 # sample counts that put a chunk boundary inside the run: hole-prob and
-# real-density stack 33 and 40 draws per chunk, sampler-equiv 6 pairs, the
+# real-density stack 26 and 32 draws per chunk, sampler-equiv 6 pairs, the
 # N=128 ensembles 4 draws, and channel-ring 6, 3 and 3 maps, so its n=4
 # crosses a boundary at (14, 14) and (14, 18)
 _IDENTITY_N = {"radial-density": 5, "real-count": 5, "hole-prob": 50,
@@ -251,7 +259,7 @@ def test_reports_and_artifacts_identical_across_workers(tmp_path, experiment):
 
 def test_chunk_memory_stays_bounded():
     # tracemalloc peak of 2000 hole-prob draws on two workers; the per-index
-    # map peaked at 3.57 MiB, and a 512 KiB chunk budget would reach 5.4 MiB
+    # map peaked at 3.57 MiB, and chunks of 26 draws peak at 2.5-2.7 MiB
     run_mc("hole-prob", 3, 40, workers=2)
     tracemalloc.start()
     try:
@@ -308,22 +316,16 @@ def test_reports_independent_of_the_callers_blas_threads(tmp_path, monkeypatch):
 def test_ill_conditioned_channel_map_names_its_sample(monkeypatch):
     # a map whose standing matrix has a singular top block fails its chunk;
     # the rerun names its index, with QuadratisationError as the cause
-    index_rng, draw = harness._index_rng, harness.random_complementary_map
-    drawn = []
-
-    def tracking_rng(master_seed, index):
-        drawn.append(index)
-        return index_rng(master_seed, index)
+    draw = harness.random_complementary_map
 
     def singular_at_index_4(d, k, rng):
         phi = draw(d, k, rng)
-        if drawn[-1] != 4:
+        if rng.bit_generator.seed_seq.spawn_key != (4,):
             return phi
         m = phi.matrix.copy()
         m[:, 0] = 0.0  # (14, 10) quadratises m.T: a zero row of its top block
         return Superoperator(matrix=m, spec=phi.spec)
 
-    monkeypatch.setattr(harness, "_index_rng", tracking_rng)
     monkeypatch.setattr(harness, "random_complementary_map", singular_at_index_4)
     # the (14, 10) maps go 6 to a chunk: index 4 sits inside the first one
     with pytest.raises(WorkerError, match=r"seed spawn \(29, \(4,\)\)") as info:

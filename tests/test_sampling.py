@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from indg.complex_ensemble import hole_probability, kernel_KN
 from indg.harness import ks_two_sample
 from indg.linalg import eigenvalues, sample_gaussian
+from indg.real_ensemble import correlations_pfaffian
 from indg.sampling import (
     EnsembleParams,
     QuadratisationError,
@@ -34,6 +36,21 @@ def test_params_validation():
     with pytest.raises(ValueError):
         p.require_integer_L()
     assert EnsembleParams(N=3, L=4.0, beta=2).require_integer_L() == 4
+
+
+def test_float_N_gives_the_bits_of_integer_N():
+    # N=4.0 passes as a positive integer and is stored as the int 4
+    outputs = []
+    for N in (4.0, 4):
+        p2, p1 = EnsembleParams(N=N, L=2, beta=2), EnsembleParams(N=N, L=2, beta=1)
+        assert type(p2.N) is int and type(p1.N) is int
+        outputs.append([
+            sample_induced_quadratise(p2, np.random.default_rng(5)).tobytes(),
+            np.asarray(hole_probability([0.5, 1.5], p2)).tobytes(),
+            np.asarray(kernel_KN(0.3 + 0.2j, 1.1 - 0.4j, p2)).tobytes(),
+            np.asarray(correlations_pfaffian([0.4], [0.7 + 0.5j], p1)).tobytes(),
+        ])
+    assert outputs[0] == outputs[1]
 
 
 def test_quadratise_contract():
@@ -239,6 +256,8 @@ def test_log_density_singular_matrix():
         log_density(np.zeros((3, 3)), params)
     with pytest.raises(ValueError):
         log_density(np.full((2, 2), np.nan), params)
+    with pytest.raises(ValueError, match="finite"):
+        log_density(np.array([[1.0, complex(0.0, np.inf)], [0.0, 1.0]]), params)
 
 
 def test_quadratise_takes_no_separate_condition_number(monkeypatch):
