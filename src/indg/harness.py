@@ -21,16 +21,21 @@ redrawn there; sampler-equiv first draws each index's polar matrix.  The
 chunk's matrices then go to one eigvals call.  channel-ring reduces each map
 through channels.quadratised_factor and diagonalises the chunk's square
 factors in one call.  The worker threads (flag, else INDG_THREADS, else cpu
-count) run chunks in parallel, and run_mc sets numpy's bundled OpenBLAS to
-one thread for the whole run, at every worker count, restoring the caller's
-count afterwards: BLAS threads under the workers would only oversubscribe
-the cores, and zgeqrf/zgemm give different bits at one and two BLAS
-threads, so without the cap the channel-ring reports would depend on the
-host's BLAS setting.  A chunk that raises is rerun index by index, so the
-error names its sample.  The worker count, the chunking and the caller's
-BLAS thread count therefore change only the wall time, never the numbers;
-the canonical report payload excludes wall time so byte identity across
-worker counts can be asserted directly.
+count) run chunks in parallel from one queue per run_mc call: _map_runs
+takes every sub-run of the experiment (real-count's two L, sampler-equiv's
+two beta, channel-ring's three geometries) and submits all their chunks to
+one pool, largest eigvals side first, since eigvals cost grows as side**3
+and the short chunks left for last keep both workers busy to the end
+(Graham's longest-processing-time rule).  run_mc sets numpy's bundled
+OpenBLAS to one thread for the whole run, at every worker count, restoring
+the caller's count afterwards: BLAS threads under the workers would only
+oversubscribe the cores, and zgeqrf/zgemm give different bits at one and
+two BLAS threads, so without the cap the channel-ring reports would depend
+on the host's BLAS setting.  A chunk that raises is rerun index by index,
+so the error names its sample.  The worker count, the chunking, the
+submission order and the caller's BLAS thread count therefore change only
+the wall time, never the numbers; the canonical report payload excludes
+wall time so byte identity across worker counts can be asserted directly.
 
 A spectrum is the array linalg.eigenvalues returns, nothing else.  A chunk
 returns arrays with one row per index: eigenvalue rows, modulus rows
@@ -128,7 +133,10 @@ def resolve_workers(workers=None):
     n = os.cpu_count() or 1
     cap = os.environ.get("INDG_THREADS")
     if cap:
-        n = min(n, max(1, int(cap)))
+        try:
+            n = min(n, max(1, int(cap)))
+        except ValueError:
+            raise ValueError(f"INDG_THREADS must be an integer, got {cap!r}") from None
     return n
 
 
@@ -188,7 +196,7 @@ def _one_blas_thread():
         set_threads(before)
 
 
-def _run_chunk(fn, master_seed, start, stop):
+def _run_chunk(master_seed, fn, start, stop):
     """[fn(streams of start .. stop-1)]; if that raises, fn on each index's stream
     alone, so a failure names its index."""
     if stop - start > 1:
@@ -205,20 +213,33 @@ def _run_chunk(fn, master_seed, start, stop):
     return out
 
 
-def _map_chunks(fn, n, size, workers, master_seed, salt=0):
-    """fn on the streams of consecutive chunks of at most `size` of salt .. salt+n-1.
+def _map_runs(runs, workers, master_seed):
+    """fn on the streams of the chunks of every run (fn, n, side, salt), in one pool.
 
-    Returns the chunk results in index order; a chunk that had to be rerun
-    index by index contributes one result per index, so concatenating the
+    A run covers indices salt .. salt+n-1 in chunks of _chunk_length(side).
+    The chunks are submitted largest side first (stably, so run order and then
+    index order break ties): eigvals cost grows as side**3, and leaving the
+    short chunks for last keeps every worker busy to the end.  Returns one list
+    per run, of its chunk results in index order; a chunk that had to be rerun
+    index by index contributes one result per index, so concatenating a run's
     list gives the same result either way.
     """
-    bounds = [(a, min(a + size, salt + n)) for a in range(salt, salt + n, size)]
-    if workers <= 1 or len(bounds) == 1:
-        parts = [_run_chunk(fn, master_seed, a, b) for a, b in bounds]
+    owners, chunks = [], []
+    for r in sorted(range(len(runs)), key=lambda r: -runs[r][2]):
+        fn, n, side, salt = runs[r]
+        size = _chunk_length(side)
+        for a in range(salt, salt + n, size):
+            owners.append(r)
+            chunks.append((fn, a, min(a + size, salt + n)))
+    if workers <= 1 or len(chunks) == 1:
+        parts = [_run_chunk(master_seed, *chunk) for chunk in chunks]
     else:
-        with ThreadPoolExecutor(max_workers=min(workers, len(bounds))) as pool:
-            parts = list(pool.map(partial(_run_chunk, fn, master_seed), *zip(*bounds)))
-    return [result for part in parts for result in part]
+        with ThreadPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
+            parts = list(pool.map(partial(_run_chunk, master_seed), *zip(*chunks)))
+    out = [[] for _ in runs]
+    for r, part in zip(owners, parts):
+        out[r] += part
+    return out
 
 
 def ks_two_sample(a, b):
@@ -294,10 +315,9 @@ def _spectra_chunk(params, rngs):
     return eigenvalues(quadratised_draws(params, rngs), params.beta)
 
 
-def _map_spectra(params, n_samples, workers, master_seed, salt=0):
-    """Eigenvalue rows of n_samples quadratised draws, in index order."""
-    return np.concatenate(_map_chunks(partial(_spectra_chunk, params), n_samples,
-                                      _chunk_length(params.N), workers, master_seed, salt))
+def _spectra_run(params, n_samples, salt=0):
+    """The _map_runs run of n_samples quadratised spectra, one eigenvalue row each."""
+    return partial(_spectra_chunk, params), n_samples, params.N, salt
 
 
 def _sampler_pairs_chunk(params, rngs):
@@ -337,7 +357,7 @@ def _channel_chunk(geometry, rngs):
 def _exp_radial_density(master_seed, n_samples, workers):
     params = EnsembleParams(N=128, L=32, beta=2)
     scale = 1.0 / math.sqrt(params.N + params.L)
-    ev = _map_spectra(params, n_samples, workers, master_seed)
+    ev = np.concatenate(_map_runs([_spectra_run(params, n_samples)], workers, master_seed)[0])
     counts = np.histogram(np.abs(ev) * scale, bins=_EDGES)[0]
     expected = _expected_radial_complex(_EDGES, params, n_samples)
     ok = _bins_within_3sigma(counts, expected)
@@ -352,11 +372,12 @@ def _exp_radial_density(master_seed, n_samples, workers):
 def _exp_real_count(master_seed, n_samples, workers):
     if n_samples < 2:
         raise ValueError("real-count needs n_samples >= 2 for the standard error of its mean")
+    ensembles = (EnsembleParams(N=128, L=32, beta=1), EnsembleParams(N=128, L=0, beta=1))
+    runs = _map_runs([_spectra_run(params, n_samples, salt)
+                      for params, salt in zip(ensembles, (0, 10 ** 6))], workers, master_seed)
     reports, artifacts = [], {}
-    for params, salt in ((EnsembleParams(N=128, L=32, beta=1), 0),
-                         (EnsembleParams(N=128, L=0, beta=1), 10 ** 6)):
-        ev = _map_spectra(params, n_samples, workers, master_seed, salt)
-        counts = np.sum(real_mask(ev), axis=1).astype(float)
+    for params, rows in zip(ensembles, runs):
+        counts = np.sum(real_mask(np.concatenate(rows)), axis=1).astype(float)
         mean = float(counts.mean())
         se = float(counts.std(ddof=1) / math.sqrt(len(counts)))
         meta = {"N": params.N, "L": params.L, "beta": 1, "n_samples": n_samples,
@@ -376,7 +397,8 @@ def _exp_real_count(master_seed, n_samples, workers):
 def _exp_hole_prob(master_seed, n_samples, workers):
     params = EnsembleParams(N=20, L=2, beta=2)
     radii = np.array([0.5, 1.0, 1.5])
-    rmin = np.min(np.abs(_map_spectra(params, n_samples, workers, master_seed)), axis=1)
+    ev = np.concatenate(_map_runs([_spectra_run(params, n_samples)], workers, master_seed)[0])
+    rmin = np.min(np.abs(ev), axis=1)
     fracs = (rmin[:, None] > radii).mean(axis=0)
     table = [("s", "analytic", "empirical")] + list(
         zip(radii.tolist(), cx.hole_probability(radii, params).tolist(), fracs.tolist()))
@@ -390,14 +412,14 @@ def _exp_hole_prob(master_seed, n_samples, workers):
 
 
 def _exp_sampler_equiv(master_seed, n_samples, workers):
+    ensembles = (EnsembleParams(N=50, L=10, beta=1), EnsembleParams(N=50, L=10, beta=2))
+    runs = _map_runs([(partial(_sampler_pairs_chunk, params), n_samples, 2 * params.N, salt)
+                      for params, salt in zip(ensembles, (0, 10 ** 6))], workers, master_seed)
     reports = []
-    for beta, salt in ((1, 0), (2, 10 ** 6)):
-        params = EnsembleParams(N=50, L=10, beta=beta)
-        mods = np.concatenate(_map_chunks(
-            partial(_sampler_pairs_chunk, params), n_samples, _chunk_length(2 * params.N),
-            workers, master_seed, salt))
+    for params, rows in zip(ensembles, runs):
+        mods = np.concatenate(rows)
         t, p = ks_two_sample(np.sort(mods[:, 0], axis=None), np.sort(mods[:, 1], axis=None))
-        meta = {"N": params.N, "L": params.L, "beta": beta, "n_samples": n_samples,
+        meta = {"N": params.N, "L": params.L, "beta": params.beta, "n_samples": n_samples,
                 "ks_statistic": t}
         reports.append(ExperimentReport.build(
             "sampler-equiv", meta, "ks_p_bound", p, 1.0, 0.999, master_seed))
@@ -406,12 +428,12 @@ def _exp_sampler_equiv(master_seed, n_samples, workers):
 
 def _exp_channel_ring(master_seed, n_samples, workers):
     geometries = ((14, 10), (14, 14), (14, 18))
+    runs = _map_runs([(partial(_channel_chunk, (d, k)), n_samples, min(d, k) ** 2, g * 10 ** 6)
+                      for g, (d, k) in enumerate(geometries)], workers, master_seed)
     reports, artifacts = [], {}
-    for g, (d, k) in enumerate(geometries):
+    for (d, k), results in zip(geometries, runs):
         r_in, r_out = predicted_ring(d, k)
-        spectra, traces = (np.concatenate(part) for part in zip(*_map_chunks(
-            partial(_channel_chunk, (d, k)), n_samples, _chunk_length(min(d, k) ** 2),
-            workers, master_seed, g * 10 ** 6)))
+        spectra, traces = (np.concatenate(part) for part in zip(*results))
         # each map's leading eigenvalue (largest modulus) sits outside the ring
         mod = np.abs(spectra)
         mod = np.ma.masked_array(mod, np.arange(mod.shape[1]) == mod.argmax(axis=1)[:, None])
@@ -455,7 +477,7 @@ def _exp_edge_profile(master_seed, n_samples, workers):
 def _exp_real_density(master_seed, n_samples, workers):
     params = EnsembleParams(N=16, L=4, beta=1)
     scale = 1.0 / math.sqrt(params.N + params.L)
-    ev = _map_spectra(params, n_samples, workers, master_seed)
+    ev = np.concatenate(_map_runs([_spectra_run(params, n_samples)], workers, master_seed)[0])
     line_edges = np.linspace(-1.2, 1.2, DEFAULT_BINS + 1)
     # dgeev returns each conjugate pair exactly, so both members are binned
     radial = np.histogram(np.abs(ev) * scale, bins=_EDGES)[0]

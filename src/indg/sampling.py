@@ -56,9 +56,13 @@ class EnsembleParams:
     beta: int
 
     def __post_init__(self):
-        if int(self.N) != self.N or self.N < 1:
+        try:
+            n = int(self.N)
+        except (OverflowError, ValueError):  # inf, nan
+            n = 0
+        if n != self.N or n < 1:
             raise ValueError("N must be a positive integer")
-        object.__setattr__(self, "N", int(self.N))
+        object.__setattr__(self, "N", n)
         if not np.isfinite(self.L) or self.L < 0:
             raise ValueError("L must be a finite real >= 0")
         if self.beta not in (1, 2):

@@ -327,6 +327,14 @@ def test_verify_programming_error_is_not_numeric(runner, monkeypatch):
     assert isinstance(res.exception.__cause__, TypeError)
 
 
+def test_verify_non_integer_thread_cap_names_the_variable(runner, monkeypatch):
+    monkeypatch.setenv("INDG_THREADS", "abc")
+    res = runner.invoke(main, ["verify", "--experiment", "hole-prob",
+                               "--seed", "0", "--samples", "4"])
+    assert res.exit_code == 2
+    assert "INDG_THREADS must be an integer, got 'abc'" in res.output
+
+
 def test_numeric_error_classification():
     # the numeric-exit tuple catches quadratisation failures before the
     # ValueError mapping can turn them into usage errors

@@ -2,6 +2,7 @@
 import json
 import os
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from indg.harness import (
     EXPERIMENTS,
     ExperimentReport,
     WorkerError,
-    _map_chunks,
+    _map_runs,
     ks_two_sample,
     report_payload_bytes,
     resolve_workers,
@@ -91,12 +92,56 @@ def test_map_indices_surfaces_failing_index():
             raise ValueError("boom")
         return _spawn_indices(rngs)
 
-    # the chunk (2, 4) fails as a whole and is rerun index by index
+    # side 251 gives chunks of 2: the chunk (2, 4) fails as a whole and is
+    # rerun index by index
     with pytest.raises(RuntimeError, match="index 3"):
-        _map_chunks(fn, 5, 2, workers=1, master_seed=17)
-    squares = _map_chunks(lambda rngs: [i * i for i in _spawn_indices(rngs)], 5, 2,
-                          workers=2, master_seed=17)
+        _map_runs([(fn, 5, 251, 0)], workers=1, master_seed=17)
+    squares = _map_runs([(lambda rngs: [i * i for i in _spawn_indices(rngs)], 5, 251, 0)],
+                        workers=2, master_seed=17)[0]
     assert squares == [[0, 1], [4, 9], [16]]
+
+
+def _record(seen, run, rngs):
+    seen.append((run, _spawn_indices(rngs)))
+    return _spawn_indices(rngs)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_map_runs_takes_the_largest_side_first(workers):
+    # sides 100, 251 and 100 give chunks of 6, 2 and 6 indices
+    seen = []
+    runs = [(partial(_record, seen, "small"), 8, 100, 0),
+            (partial(_record, seen, "large"), 5, 251, 1000),
+            (partial(_record, seen, "tie"), 4, 100, 2000)]
+    results = _map_runs(runs, workers, master_seed=17)
+    assert results == [[[0, 1, 2, 3, 4, 5], [6, 7]],
+                       [[1000, 1001], [1002, 1003], [1004]],
+                       [[2000, 2001, 2002, 2003]]]
+    if workers == 1:
+        # the larger side's chunks first, then the tied runs in run order
+        assert [run for run, _ in seen] == ["large"] * 3 + ["small"] * 2 + ["tie"]
+        assert [indices for _, indices in seen] == [
+            chunk for part in (results[1], results[0], results[2]) for chunk in part]
+    else:
+        assert sorted(seen) == sorted(
+            (run, chunk) for run, part in zip(("small", "large", "tie"), results)
+            for chunk in part)
+
+
+@pytest.mark.parametrize("experiment,n", [("channel-ring", 4), ("real-count", 5),
+                                          ("sampler-equiv", 7)])
+def test_one_pool_per_run_mc_call(monkeypatch, experiment, n):
+    # n puts more than one chunk in each sub-run, so a pool per sub-run
+    # would open 2 or 3 pools
+    executor, pools = harness.ThreadPoolExecutor, []
+
+    def counting_executor(*args, **kwargs):
+        pools.append(kwargs)
+        return executor(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", counting_executor)
+    run_mc(experiment, 3, n, workers=2)
+    assert pools == [{"max_workers": 2}]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -232,7 +277,7 @@ def test_failing_stacked_eigvals_names_the_salted_index(monkeypatch):
     monkeypatch.setattr(harness, "eigenvalues", eigvals_failing_on_target)
     # chunks of 26: index 35 sits inside the second chunk, not at its edge
     with pytest.raises(WorkerError, match=r"seed spawn \(19, \(1000035,\)\)") as info:
-        harness._map_spectra(params, 40, 2, 19, salt=10 ** 6)
+        harness._map_runs([harness._spectra_run(params, 40, salt=10 ** 6)], 2, 19)
     assert info.value.index == 10 ** 6 + 35
     assert isinstance(info.value.__cause__, EigenConvergenceError)
 

@@ -38,6 +38,12 @@ def test_params_validation():
     assert EnsembleParams(N=3, L=4.0, beta=2).require_integer_L() == 4
 
 
+@pytest.mark.parametrize("N", [np.inf, -np.inf, np.nan])
+def test_params_reject_non_finite_N(N):
+    with pytest.raises(ValueError, match="N must be a positive integer"):
+        EnsembleParams(N=N, L=0.0, beta=2)
+
+
 def test_float_N_gives_the_bits_of_integer_N():
     # N=4.0 passes as a positive integer and is stored as the int 4
     outputs = []
