@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import eigenvalues, sample_haar_unitary
-from .sampling import quadratise, square_factors
+from .sampling import square_factors
 
 __all__ = [
     "ChannelSpec",
@@ -123,17 +123,13 @@ def quadratised_factor(phi):
     k > d: the square factor of the standing k^2 x d^2 matrix; k < d: that of
     its transpose (the natural standing reduction); k = d: the matrix is
     already square and is returned as it is.  The factor is square_factors'
-    G, which builds no W; QuadratisationError is raised when the top block
-    is too ill-conditioned.
+    G, one reduction that builds no W; square_factors raises
+    QuadratisationError, naming cond(Q1), when the top block is too
+    ill-conditioned.
     """
     d, k = phi.spec.d, phi.spec.k
     m = phi.matrix
-    if k == d:
-        return m
-    standing = m if k > d else m.T
-    G, ill = square_factors(standing[None])
-    # quadratise raises, naming cond(Q1), on exactly the rows square_factors marks
-    return quadratise(standing)[0] if ill[0] else G[0]
+    return m if k == d else square_factors((m if k > d else m.T)[None])[0]
 
 
 def quadratised_spectrum(phi):

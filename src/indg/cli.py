@@ -5,7 +5,10 @@ Exit codes: 0 success (and verify pass), 1 verify failure, 2 usage error,
 One handler on the command group applies this policy to every command: a
 numeric failure exits 3, and any other input the library rejects with a
 ValueError is a usage error (exit 2, the library's message printed).  A
-sample of `verify` that fails with any other exception re-raises it.
+sample of `verify` that fails with any other exception re-raises it.  The
+same handler runs every command with numpy's OpenBLAS at one thread
+(linalg._one_blas_thread), so seeded outputs do not depend on the caller's
+BLAS thread count.
 """
 
 import csv
@@ -21,7 +24,7 @@ from . import complex_ensemble as cx
 from . import real_ensemble as re1
 from .channels import predicted_ring, quadratised_spectrum, random_complementary_map
 from .harness import WorkerError, run_mc
-from .linalg import EigenConvergenceError, eigenvalues, real_mask
+from .linalg import EigenConvergenceError, _one_blas_thread, eigenvalues, real_mask
 from .sampling import EnsembleParams, QuadratisationError, sample_induced_quadratise
 
 _NUMERIC_ERRORS = (QuadratisationError, EigenConvergenceError,
@@ -48,11 +51,12 @@ def _parse_grid(spec):
 
 
 class _Group(click.Group):
-    """Maps library failures of any command to exit codes 3 and 2."""
+    """Runs every command at one BLAS thread; maps library failures to exit codes 3 and 2."""
 
     def invoke(self, ctx):
         try:
-            return super().invoke(ctx)
+            with _one_blas_thread():
+                return super().invoke(ctx)
         except WorkerError as exc:
             if not isinstance(exc.__cause__, _NUMERIC_ERRORS):
                 raise

@@ -3,9 +3,11 @@
 Every experiment is deterministic given (name, master_seed, n_samples): each
 sample index gets its own RNG stream spawned as
 SeedSequence(master_seed, spawn_key=(index,)), and the merge step reduces
-per-index results in index order.  Sub-runs of one experiment use disjoint
-index ranges salt .. salt+n-1; a failing sample raises WorkerError naming its
-index and master seed.
+per-index results in index order.  _map_runs alone lays out the indices:
+run r of the list an experiment passes it draws r*10**6 .. r*10**6+n-1
+(_RUN_STRIDE), so no experiment computes an offset, and it refuses a run
+other than the last that would spill into the next run's range.  A failing
+sample raises WorkerError naming its index and master seed.
 
 The work is mapped over contiguous chunks of indices, not single indices.
 A chunk holds the fewest k draws with k * m > 500, m the summed side of the
@@ -26,13 +28,14 @@ takes every sub-run of the experiment (real-count's two L, sampler-equiv's
 two beta, channel-ring's three geometries) and submits all their chunks to
 one pool, largest eigvals side first, since eigvals cost grows as side**3
 and the short chunks left for last keep both workers busy to the end
-(Graham's longest-processing-time rule).  run_mc sets numpy's bundled
-OpenBLAS to one thread for the whole run, at every worker count, restoring
-the caller's count afterwards: BLAS threads under the workers would only
-oversubscribe the cores, and zgeqrf/zgemm give different bits at one and
-two BLAS threads, so without the cap the channel-ring reports would depend
-on the host's BLAS setting.  A chunk that raises is rerun index by index,
-so the error names its sample.  The worker count, the chunking, the
+(Graham's longest-processing-time rule).  The pool is the one executor at
+every worker count; with one thread it runs the chunks in submission order.
+run_mc runs the whole experiment inside linalg._one_blas_thread, at every
+worker count: BLAS threads under the workers would only oversubscribe the
+cores, and zgeqrf/zgemm give different bits at one and two BLAS threads, so
+without the pin the channel-ring reports would depend on the host's BLAS
+setting.  A chunk that raises is rerun index by index, so the error names
+its sample.  The worker count, the chunking, the
 submission order and the caller's BLAS thread count therefore change only
 the wall time, never the numbers; the canonical report payload excludes
 wall time so byte identity across worker counts can be asserted directly.
@@ -45,23 +48,20 @@ np.histogram counts, real_mask sums, row minima, a masked maximum.
 """
 
 import csv
-import ctypes
-import glob
 import json
 import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial
 
 import numpy as np
 
 from . import complex_ensemble as cx
 from . import real_ensemble as re1
 from .channels import predicted_ring, quadratised_factor, random_complementary_map
-from .linalg import eigenvalues, real_mask
+from .linalg import _one_blas_thread, eigenvalues, real_mask
 from .sampling import EnsembleParams, quadratised_draws, sample_induced_polar
 
 __all__ = [
@@ -78,6 +78,7 @@ DEFAULT_BINS = 64
 # modulus bin edges in rescaled units, |lambda| / sqrt(N+L)
 _EDGES = np.linspace(0.0, 1.2, DEFAULT_BINS + 1)
 _BIN_ORDER = 12  # Gauss-Legendre nodes per histogram bin for the expectations
+_RUN_STRIDE = 10 ** 6  # run r of a _map_runs call draws spawn indices r * _RUN_STRIDE + i
 
 
 @dataclass
@@ -160,42 +161,6 @@ def _chunk_length(side):
     return 500 // side + 1
 
 
-@cache
-def _openblas_threads():
-    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None.
-
-    Looked up on first use, and only in numpy's own library directory.
-    """
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
-        try:
-            lib = ctypes.CDLL(path)
-            return lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-    return None
-
-
-@contextmanager
-def _one_blas_thread():
-    """numpy's OpenBLAS at one thread inside, the caller's count restored after.
-
-    Without the library's thread functions BLAS is left alone.  The count is
-    process-wide, so it also holds for other threads while the block runs.
-    """
-    blas = _openblas_threads()
-    if blas is None:
-        yield
-        return
-    get, set_threads = blas
-    before = get()
-    set_threads(1)
-    try:
-        yield
-    finally:
-        set_threads(before)
-
-
 def _run_chunk(master_seed, fn, start, stop):
     """[fn(streams of start .. stop-1)]; if that raises, fn on each index's stream
     alone, so a failure names its index."""
@@ -214,28 +179,33 @@ def _run_chunk(master_seed, fn, start, stop):
 
 
 def _map_runs(runs, workers, master_seed):
-    """fn on the streams of the chunks of every run (fn, n, side, salt), in one pool.
+    """fn on the streams of the chunks of every run (fn, n, side), in one pool.
 
-    A run covers indices salt .. salt+n-1 in chunks of _chunk_length(side).
-    The chunks are submitted largest side first (stably, so run order and then
-    index order break ties): eigvals cost grows as side**3, and leaving the
-    short chunks for last keeps every worker busy to the end.  Returns one list
-    per run, of its chunk results in index order; a chunk that had to be rerun
-    index by index contributes one result per index, so concatenating a run's
-    list gives the same result either way.
+    Run r, r being its place in runs, covers spawn indices r*_RUN_STRIDE ..
+    r*_RUN_STRIDE+n-1 in chunks of _chunk_length(side); a run other than the
+    last holding more than _RUN_STRIDE indices would share streams with the
+    next, and raises ValueError before any chunk runs.  The chunks are
+    submitted largest side first (stably, so run order and then index order
+    break ties): eigvals cost grows as side**3, and leaving the short chunks
+    for last keeps every worker busy to the end.  A one-thread pool runs them
+    in that order.  Returns one list per run, of its chunk results in index
+    order; a chunk that had to be rerun index by index contributes one result
+    per index, so concatenating a run's list gives the same result either way.
     """
+    for _, n, _ in runs[:-1]:
+        if n > _RUN_STRIDE:
+            raise ValueError(f"n_samples={n} exceeds {_RUN_STRIDE}, the spawn indices "
+                             "each sub-run of an experiment may use")
     owners, chunks = [], []
     for r in sorted(range(len(runs)), key=lambda r: -runs[r][2]):
-        fn, n, side, salt = runs[r]
+        fn, n, side = runs[r]
         size = _chunk_length(side)
-        for a in range(salt, salt + n, size):
+        start, stop = r * _RUN_STRIDE, r * _RUN_STRIDE + n
+        for a in range(start, stop, size):
             owners.append(r)
-            chunks.append((fn, a, min(a + size, salt + n)))
-    if workers <= 1 or len(chunks) == 1:
-        parts = [_run_chunk(master_seed, *chunk) for chunk in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
-            parts = list(pool.map(partial(_run_chunk, master_seed), *zip(*chunks)))
+            chunks.append((fn, a, min(a + size, stop)))
+    with ThreadPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
+        parts = list(pool.map(partial(_run_chunk, master_seed), *zip(*chunks)))
     out = [[] for _ in runs]
     for r, part in zip(owners, parts):
         out[r] += part
@@ -315,9 +285,9 @@ def _spectra_chunk(params, rngs):
     return eigenvalues(quadratised_draws(params, rngs), params.beta)
 
 
-def _spectra_run(params, n_samples, salt=0):
+def _spectra_run(params, n_samples):
     """The _map_runs run of n_samples quadratised spectra, one eigenvalue row each."""
-    return partial(_spectra_chunk, params), n_samples, params.N, salt
+    return partial(_spectra_chunk, params), n_samples, params.N
 
 
 def _sampler_pairs_chunk(params, rngs):
@@ -373,8 +343,8 @@ def _exp_real_count(master_seed, n_samples, workers):
     if n_samples < 2:
         raise ValueError("real-count needs n_samples >= 2 for the standard error of its mean")
     ensembles = (EnsembleParams(N=128, L=32, beta=1), EnsembleParams(N=128, L=0, beta=1))
-    runs = _map_runs([_spectra_run(params, n_samples, salt)
-                      for params, salt in zip(ensembles, (0, 10 ** 6))], workers, master_seed)
+    runs = _map_runs([_spectra_run(params, n_samples) for params in ensembles],
+                     workers, master_seed)
     reports, artifacts = [], {}
     for params, rows in zip(ensembles, runs):
         counts = np.sum(real_mask(np.concatenate(rows)), axis=1).astype(float)
@@ -413,8 +383,8 @@ def _exp_hole_prob(master_seed, n_samples, workers):
 
 def _exp_sampler_equiv(master_seed, n_samples, workers):
     ensembles = (EnsembleParams(N=50, L=10, beta=1), EnsembleParams(N=50, L=10, beta=2))
-    runs = _map_runs([(partial(_sampler_pairs_chunk, params), n_samples, 2 * params.N, salt)
-                      for params, salt in zip(ensembles, (0, 10 ** 6))], workers, master_seed)
+    runs = _map_runs([(partial(_sampler_pairs_chunk, params), n_samples, 2 * params.N)
+                      for params in ensembles], workers, master_seed)
     reports = []
     for params, rows in zip(ensembles, runs):
         mods = np.concatenate(rows)
@@ -428,8 +398,8 @@ def _exp_sampler_equiv(master_seed, n_samples, workers):
 
 def _exp_channel_ring(master_seed, n_samples, workers):
     geometries = ((14, 10), (14, 14), (14, 18))
-    runs = _map_runs([(partial(_channel_chunk, (d, k)), n_samples, min(d, k) ** 2, g * 10 ** 6)
-                      for g, (d, k) in enumerate(geometries)], workers, master_seed)
+    runs = _map_runs([(partial(_channel_chunk, (d, k)), n_samples, min(d, k) ** 2)
+                      for d, k in geometries], workers, master_seed)
     reports, artifacts = [], {}
     for (d, k), results in zip(geometries, runs):
         r_in, r_out = predicted_ring(d, k)
@@ -515,9 +485,9 @@ def run_mc(experiment, master_seed, n_samples, workers=None, out_dir=None):
 
     Deterministic given (experiment, master_seed, n_samples) for any worker
     count and any BLAS thread count of the caller: numpy's OpenBLAS runs at
-    one thread inside.  With out_dir set, writes <experiment>_report.json
-    plus one CSV per histogram/table artifact, every file carrying the
-    parameter set and seed.
+    one thread inside (linalg._one_blas_thread).  With out_dir set, writes
+    <experiment>_report.json plus one CSV per histogram/table artifact, every
+    file carrying the parameter set and seed.
     """
     if experiment not in EXPERIMENTS:
         raise ValueError(

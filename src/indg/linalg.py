@@ -9,7 +9,19 @@ splits it.  For a real matrix dgeev reads each eigenvalue off a block of the
 real Schur form: a 1x1 block gives imaginary part exactly 0.0, a 2x2 block an
 exact conjugate pair x +- iy.  real_mask reads that structure, never an
 imaginary-part threshold, so a beta=1 real count is real_mask(ev).sum(-1).
+
+_one_blas_thread pins numpy's bundled OpenBLAS to one thread for a block and
+restores the caller's count after it.  zgeqrf, zgemm and dgeev give
+different bits at one and two BLAS threads, so run_mc and every indg command
+run inside it, and their seeded bytes do not depend on the host's BLAS
+setting.
 """
+
+import ctypes
+import glob
+import os
+from contextlib import contextmanager
+from functools import cache
 
 import numpy as np
 
@@ -27,6 +39,42 @@ __all__ = [
 
 class EigenConvergenceError(RuntimeError):
     """Eigenvalue iteration failed to converge; carries matrix context."""
+
+
+@cache
+def _openblas_threads():
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None.
+
+    Looked up on first use, and only in numpy's own library directory.
+    """
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
+        try:
+            lib = ctypes.CDLL(path)
+            return lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """numpy's OpenBLAS at one thread inside, the caller's count restored after.
+
+    Without the library's thread functions BLAS is left alone.  The count is
+    process-wide, so it also holds for other threads while the block runs.
+    """
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_threads = blas
+    before = get()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
 
 
 def sample_gaussian(rows, cols, beta, rng):

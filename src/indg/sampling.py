@@ -10,6 +10,9 @@ The polar route U·(X†X)^{1/2} with Haar U draws from the same distribution.
 
 quadratised_draws is the one quadratised sampler, and sample_induced_quadratise
 its one-stream case.  Only quadratise builds W; no sampler calls it.
+square_factors is quadratise without W for a stack of fixed matrices (the
+channel factors): it raises QuadratisationError itself, naming the first ill
+row's cond(Q₁), and quadratised_draws redraws an ill row instead.
 """
 
 from dataclasses import dataclass
@@ -104,12 +107,16 @@ def _reduce(X):
 def square_factors(X):
     """quadratise's G for every matrix of a stack X of shape (n, M, N), M > N.
 
-    Returns (G, ill): G has shape (n, N, N), row j bit-identical to
-    quadratise(X[j])[0]; ill marks the rows for which quadratise raises
-    QuadratisationError, whose G must not be used.  W is not built.
+    Returns G of shape (n, N, N), row j bit-identical to quadratise(X[j])[0],
+    from one _reduce pass; W is not built.  Where quadratise raises
+    QuadratisationError on a row, so does this, naming the first such row's
+    cond(Q₁).
     """
     G, _, _, cond = _reduce(X)
-    return G, ~(cond <= _COND_LIMIT)
+    ill = np.flatnonzero(~(cond <= _COND_LIMIT))
+    if ill.size:
+        raise QuadratisationError(cond[ill[0]])
+    return G
 
 
 def quadratise(X):

@@ -14,6 +14,7 @@ from indg.channels import (
     quadratised_spectrum,
     random_complementary_map,
 )
+from indg import sampling
 from indg.linalg import eigenvalues
 from indg.sampling import QuadratisationError, quadratise
 
@@ -103,7 +104,8 @@ def test_rectangular_spectrum_sizes():
 
 @pytest.mark.parametrize("d,k", [(3, 5), (5, 3), (4, 4)])
 def test_quadratised_factor_matches_quadratise(d, k):
-    # square_factors' G, which builds no W, has the bits of quadratise's
+    # quadratised_factor's one square_factors reduction, which builds no W,
+    # gives the bits of quadratise's G
     phi = random_complementary_map(d, k, np.random.default_rng(10 * d + k))
     m = phi.matrix
     square = m if k == d else quadratise(m if k > d else m.T)[0]
@@ -123,6 +125,23 @@ def test_ill_conditioned_map_raises(d, k):
     singular = Superoperator(matrix=m, spec=phi.spec)
     with pytest.raises(QuadratisationError):
         quadratised_factor(singular)
+
+
+def test_ill_conditioned_map_is_reduced_once(monkeypatch):
+    # square_factors raises on the ill map from its one reduction
+    phi = random_complementary_map(3, 5, np.random.default_rng(91))
+    m = phi.matrix.copy()
+    m[0] = 0.0  # a zero row of the standing matrix's top block
+    reduce, calls = sampling._reduce, []
+
+    def counting_reduce(X):
+        calls.append(X.shape)
+        return reduce(X)
+
+    monkeypatch.setattr(sampling, "_reduce", counting_reduce)
+    with pytest.raises(QuadratisationError):
+        quadratised_factor(Superoperator(matrix=m, spec=phi.spec))
+    assert calls == [(1, 25, 9)]
 
 
 def test_predicted_ring_radii():

@@ -18,7 +18,7 @@ import indg
 from indg import channels
 from indg import cli
 from indg import complex_ensemble as cx
-from indg import harness
+from indg import harness, linalg
 from indg import real_ensemble as re1
 from indg.channels import predicted_ring
 from indg.harness import WorkerError
@@ -409,6 +409,57 @@ def test_numeric_failures_exit_3(runner, tmp_path, monkeypatch, command, target,
     res = runner.invoke(main, args[command] + ["--out", str(tmp_path / "o")])
     assert res.exit_code == 3, res.output
     assert f"numeric failure: {exc}" in res.output
+
+
+def test_seeded_commands_independent_of_the_callers_blas_threads(runner, tmp_path):
+    # zgeqrf, zgemm and dgeev give different bits at one and two OpenBLAS
+    # threads; every command runs BLAS at one thread whatever the caller set
+    blas = linalg._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy's bundled OpenBLAS thread functions are not available")
+    get, set_threads = blas
+    archive = str(tmp_path / "draws.npz")
+
+    def outputs(threads):
+        out = tmp_path / str(threads)
+        out.mkdir()
+        commands = [
+            ["channel", "--d", "14", "--k", "18", "--realizations", "2", "--seed", "3",
+             "--out", str(out / "chan.json")],
+            ["sample", "--beta", "2", "--n", "128", "--l", "32", "--count", "2", "--seed", "7",
+             "--out", str(out / "draws.npz")],
+            ["spectrum", "--in", archive, "--out", str(out / "eigs.csv")],
+        ]
+        for args in commands:
+            set_threads(threads)
+            res = runner.invoke(main, args)
+            assert res.exit_code == 0, res.output
+            assert get() == threads
+        with np.load(out / "draws.npz") as drawn:
+            matrices = drawn["matrices"].tobytes()
+        return (out / "chan.json").read_bytes(), matrices, (out / "eigs.csv").read_bytes()
+
+    before = get()
+    try:
+        set_threads(1)
+        runner.invoke(main, ["sample", "--beta", "2", "--n", "128", "--l", "32",
+                             "--count", "2", "--seed", "7", "--out", archive])
+        assert outputs(2) == outputs(1)
+    finally:
+        set_threads(before)
+
+
+def test_verify_overlapping_sub_runs_is_a_usage_error(runner, monkeypatch):
+    # real-count's L=0 half draws from spawn index 10**6 on: more samples
+    # per half would share streams with the L=32 half, and no draw is made
+    def no_draw(params, rngs):
+        raise AssertionError("spectra chunk ran")
+
+    monkeypatch.setattr(harness, "_spectra_chunk", no_draw)
+    res = runner.invoke(main, ["verify", "--experiment", "real-count", "--seed", "1",
+                               "--samples", str(10 ** 6 + 1)])
+    assert res.exit_code == 2, res.output
+    assert "exceeds 1000000" in res.output
 
 
 def test_entry_point_usage_error_has_no_traceback(tmp_path):

@@ -7,7 +7,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from indg import harness
+from indg import harness, linalg
 from indg import real_ensemble as re1
 from indg import sampling
 from indg.channels import Superoperator
@@ -95,8 +95,8 @@ def test_map_indices_surfaces_failing_index():
     # side 251 gives chunks of 2: the chunk (2, 4) fails as a whole and is
     # rerun index by index
     with pytest.raises(RuntimeError, match="index 3"):
-        _map_runs([(fn, 5, 251, 0)], workers=1, master_seed=17)
-    squares = _map_runs([(lambda rngs: [i * i for i in _spawn_indices(rngs)], 5, 251, 0)],
+        _map_runs([(fn, 5, 251)], workers=1, master_seed=17)
+    squares = _map_runs([(lambda rngs: [i * i for i in _spawn_indices(rngs)], 5, 251)],
                         workers=2, master_seed=17)[0]
     assert squares == [[0, 1], [4, 9], [16]]
 
@@ -109,14 +109,17 @@ def _record(seen, run, rngs):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_map_runs_takes_the_largest_side_first(workers):
     # sides 100, 251 and 100 give chunks of 6, 2 and 6 indices
+    # run r draws spawn indices r * 10**6 + i, r its place in runs, not in
+    # the submission order
     seen = []
-    runs = [(partial(_record, seen, "small"), 8, 100, 0),
-            (partial(_record, seen, "large"), 5, 251, 1000),
-            (partial(_record, seen, "tie"), 4, 100, 2000)]
+    runs = [(partial(_record, seen, "small"), 8, 100),
+            (partial(_record, seen, "large"), 5, 251),
+            (partial(_record, seen, "tie"), 4, 100)]
     results = _map_runs(runs, workers, master_seed=17)
+    one, two = 10 ** 6, 2 * 10 ** 6
     assert results == [[[0, 1, 2, 3, 4, 5], [6, 7]],
-                       [[1000, 1001], [1002, 1003], [1004]],
-                       [[2000, 2001, 2002, 2003]]]
+                       [[one, one + 1], [one + 2, one + 3], [one + 4]],
+                       [[two, two + 1, two + 2, two + 3]]]
     if workers == 1:
         # the larger side's chunks first, then the tied runs in run order
         assert [run for run, _ in seen] == ["large"] * 3 + ["small"] * 2 + ["tie"]
@@ -126,6 +129,42 @@ def test_map_runs_takes_the_largest_side_first(workers):
         assert sorted(seen) == sorted(
             (run, chunk) for run, part in zip(("small", "large", "tie"), results)
             for chunk in part)
+
+
+def test_map_runs_refuses_overlapping_index_ranges():
+    # a first run of 10**6 + 1 indices would draw index 10**6, the second
+    # run's index 0; the call is refused before any chunk runs
+    calls = []
+
+    def fn(rngs):
+        calls.append(_spawn_indices(rngs))
+        return _spawn_indices(rngs)
+
+    with pytest.raises(ValueError, match="exceeds 1000000"):
+        _map_runs([(fn, 10 ** 6 + 1, 251), (fn, 2, 251)], workers=2, master_seed=17)
+    assert calls == []
+
+
+def test_map_runs_bounds_every_run_but_the_last(monkeypatch):
+    # with a stride of 3, a run of 3 fills its range exactly, and only the
+    # last run may hold more
+    monkeypatch.setattr(harness, "_RUN_STRIDE", 3)
+    fn = _spawn_indices
+    assert _map_runs([(fn, 3, 600), (fn, 5, 600)], 1, 17) == [
+        [[0], [1], [2]], [[3], [4], [5], [6], [7]]]
+    with pytest.raises(ValueError, match="exceeds 3"):
+        _map_runs([(fn, 4, 600), (fn, 1, 600)], 1, 17)
+
+
+def test_channel_ring_refuses_overlapping_geometries(monkeypatch):
+    # its three geometries draw from 0, 10**6 and 2 * 10**6: more than 10**6
+    # maps per geometry is refused before any map is drawn
+    def no_draw(geometry, rngs):
+        raise AssertionError("channel chunk ran")
+
+    monkeypatch.setattr(harness, "_channel_chunk", no_draw)
+    with pytest.raises(ValueError, match="exceeds 1000000"):
+        run_mc("channel-ring", 1, 10 ** 6 + 1)
 
 
 @pytest.mark.parametrize("experiment,n", [("channel-ring", 4), ("real-count", 5),
@@ -189,8 +228,7 @@ def test_chunk_length_table(rows, side, per_index, want):
 def test_square_factors_match_quadratise_bit_for_bit(M, N, beta):
     rng = np.random.default_rng(M * N + beta)
     X = np.stack([sample_gaussian(M, N, beta, rng) for _ in range(3)])
-    G, ill = square_factors(X)
-    assert not ill.any()
+    G = square_factors(X)
     for j in range(len(X)):
         assert G[j].tobytes() == quadratise(X[j])[0].tobytes()
 
@@ -226,7 +264,15 @@ def test_ill_conditioned_row_is_redrawn_on_its_stream(monkeypatch):
 
     monkeypatch.setattr(sampling, "sample_gaussian", singular_first_draw)
     X = np.stack([singular_first_draw(22, 20, 2, harness._index_rng(seed, i)) for i in range(8)])
-    assert square_factors(X)[1].tolist() == [i == bad for i in range(8)]
+    # square_factors refuses exactly the ill row, as a stack and alone
+    with pytest.raises(QuadratisationError):
+        square_factors(X)
+    for i in range(8):
+        if i == bad:
+            with pytest.raises(QuadratisationError):
+                square_factors(X[i:i + 1])
+        else:
+            square_factors(X[i:i + 1])
     chunk = _stacked_draws(monkeypatch)(params, [harness._index_rng(seed, i) for i in range(8)])
     for i in range(8):
         G = sample_induced_quadratise(params, harness._index_rng(seed, i))
@@ -256,7 +302,9 @@ def test_ill_quadratised_half_of_a_pair_is_redrawn_on_its_stream(monkeypatch):
     seen = []
     monkeypatch.setattr(harness, "eigenvalues", lambda G, beta: seen.append(G) or G)
     harness._sampler_pairs_chunk(params, [harness._index_rng(seed, i) for i in range(6)])
-    assert len(ill_draws) == 1 and square_factors(ill_draws[0][None])[1][0]
+    assert len(ill_draws) == 1
+    with pytest.raises(QuadratisationError):
+        square_factors(ill_draws[0][None])
     for i in range(6):
         rng = harness._index_rng(seed, i)
         polar = sampling.sample_induced_polar(params, rng)
@@ -267,6 +315,7 @@ def test_ill_quadratised_half_of_a_pair_is_redrawn_on_its_stream(monkeypatch):
 
 def test_failing_stacked_eigvals_names_the_salted_index(monkeypatch):
     params = EnsembleParams(N=20, L=2, beta=2)
+    # the run sits second in the list, so it draws indices 10**6 + i
     target = sample_induced_quadratise(params, harness._index_rng(19, 10 ** 6 + 35))
 
     def eigvals_failing_on_target(G, beta):
@@ -277,7 +326,8 @@ def test_failing_stacked_eigvals_names_the_salted_index(monkeypatch):
     monkeypatch.setattr(harness, "eigenvalues", eigvals_failing_on_target)
     # chunks of 26: index 35 sits inside the second chunk, not at its edge
     with pytest.raises(WorkerError, match=r"seed spawn \(19, \(1000035,\)\)") as info:
-        harness._map_runs([harness._spectra_run(params, 40, salt=10 ** 6)], 2, 19)
+        harness._map_runs([harness._spectra_run(params, 1), harness._spectra_run(params, 40)],
+                          2, 19)
     assert info.value.index == 10 ** 6 + 35
     assert isinstance(info.value.__cause__, EigenConvergenceError)
 
@@ -316,7 +366,7 @@ def test_chunk_memory_stays_bounded():
 
 
 def _blas_threads():
-    blas = harness._openblas_threads()
+    blas = linalg._openblas_threads()
     if blas is None:
         pytest.skip("numpy's bundled OpenBLAS thread functions are not available")
     return blas
@@ -426,7 +476,7 @@ def test_hole_prob_deterministic_across_workers():
 
 
 def test_real_count_deterministic_across_workers():
-    # both halves, including the salted L=0 streams
+    # both halves, including the L=0 streams at spawn indices 10**6 + i
     r1 = run_mc("real-count", 41, 12, workers=1)
     r2 = run_mc("real-count", 41, 12, workers=2)
     assert report_payload_bytes(r1) == report_payload_bytes(r2)
