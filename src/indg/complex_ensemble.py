@@ -95,17 +95,18 @@ def density(z, params):
 def correlations_Rn(points, params):
     """n-point correlation R_n = det[K_N(z_k, z_l)] at the given points.
 
+    points (..., n) may stack configurations on leading axes: one value each.
     kernel_KN carries the principal phase of (z w̄)^L, which for non-integer
     L is no diagonal gauge once arg z − arg w wraps past ±π; the determinant
     is taken of the kernel with that phase removed, |z w̄|^L Σ (z w̄)^j/Γ(j+L+1).
     """
     _require_beta2(params)
     pts = np.atleast_1d(np.asarray(points, dtype=complex))
-    if pts.size > params.N:
+    if pts.shape[-1] > params.N:
         raise ValueError("no more correlation points than eigenvalues (n <= N)")
-    z, w = pts[:, None], pts[None, :]
+    z, w = pts[..., :, None], pts[..., None, :]
     K = kernel_KN(z, w, params) * np.exp(-1j * params.L * np.angle(z * np.conj(w)))
-    return float(np.linalg.det(K).real)
+    return _as_scalar(np.linalg.det(K).real)
 
 
 def hole_probability(s, params):
@@ -226,30 +227,36 @@ def _bulk_matrix(pts):
     return np.exp(-0.5 * np.abs(zj) ** 2 - 0.5 * np.abs(zk) ** 2 + zj * np.conj(zk)) / np.pi
 
 
+def _log_gap_sum(lam):
+    """sum_{j<k} log|l_j - l_k| along the last axis of lam; -inf on a coincidence."""
+    ii, jj = np.triu_indices(lam.shape[-1], k=1)
+    return np.sum(np.log(np.abs(lam[..., ii] - lam[..., jj])), axis=-1)
+
+
 def log_jpdf_complex(values, params):
     """log of the symmetrised joint eigenvalue density at the given N points.
 
     log of (1/(N! pi^N)) prod_j 1/Gamma(j+L) * prod_{j<k}|l_k - l_j|^2
     * prod_j |l_j|^{2L} e^{-sum |l_j|^2}.  Returns -inf on a zero of the
     density (coincident points, or a zero eigenvalue when L > 0).
+    values (..., N) may stack configurations on leading axes: one value each.
     """
     _require_beta2(params)
     N, L = params.N, params.L
-    lam = np.asarray([complex(v) for v in values])
-    if lam.shape != (N,):
+    lam = np.asarray(values, dtype=complex)
+    if lam.shape[-1:] != (N,):
         raise ValueError(f"need exactly N={N} eigenvalues, got {lam.shape}")
     absl = np.abs(lam)
     j = np.arange(1, N + 1, dtype=float)
     out = (-log_gamma(float(N) + 1.0) - N * np.log(np.pi)
            - float(np.sum(log_gamma(j + L))))
     # a coincidence, or a zero eigenvalue at L > 0, gives -inf through the sums
-    gaps = np.abs((lam[:, None] - lam[None, :])[np.triu_indices(N, k=1)])
     with np.errstate(divide="ignore"):
-        out += 2.0 * float(np.sum(np.log(gaps)))
+        out = out + 2.0 * _log_gap_sum(lam)
         if L > 0:
-            out += 2.0 * L * float(np.sum(np.log(absl)))
-    out -= float(np.sum(absl ** 2))
-    return float(out)
+            out += 2.0 * L * np.sum(np.log(absl), axis=-1)
+    out -= np.sum(absl ** 2, axis=-1)
+    return _as_scalar(out)
 
 
 def default_rmax(params):

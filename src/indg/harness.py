@@ -50,6 +50,7 @@ np.histogram counts, real_mask sums, row minima, a masked maximum.
 import csv
 import json
 import math
+import operator
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -480,24 +481,37 @@ EXPERIMENTS = {
 }
 
 
+def _require_integer(name, value, least):
+    """value as an int; ValueError naming it unless it is an integer >= least."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n = None
+    if n is None or n < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return n
+
+
 def run_mc(experiment, master_seed, n_samples, workers=None, out_dir=None):
     """Run one named experiment; returns its ExperimentReport list.
 
     Deterministic given (experiment, master_seed, n_samples) for any worker
     count and any BLAS thread count of the caller: numpy's OpenBLAS runs at
-    one thread inside (linalg._one_blas_thread).  With out_dir set, writes
+    one thread inside (linalg._one_blas_thread).  master_seed must be an
+    integer >= 0 and n_samples an integer >= 1; anything else raises
+    ValueError before any sample is drawn.  With out_dir set, writes
     <experiment>_report.json plus one CSV per histogram/table artifact, every
     file carrying the parameter set and seed.
     """
     if experiment not in EXPERIMENTS:
         raise ValueError(
             f"unknown experiment {experiment!r}; choose from {sorted(EXPERIMENTS)}")
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    master_seed = _require_integer("master_seed", master_seed, 0)
+    n_samples = _require_integer("n_samples", n_samples, 1)
     nworkers = resolve_workers(workers)
     t0 = time.perf_counter()
     with _one_blas_thread():
-        reports, artifacts = EXPERIMENTS[experiment](int(master_seed), int(n_samples), nworkers)
+        reports, artifacts = EXPERIMENTS[experiment](master_seed, n_samples, nworkers)
     elapsed = time.perf_counter() - t0
     for r in reports:
         r.wall_time = elapsed
@@ -513,7 +527,7 @@ def _write_outputs(experiment, reports, artifacts, out_dir, master_seed):
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    provenance = json.dumps({"experiment": experiment, "seed": int(master_seed),
+    provenance = json.dumps({"experiment": experiment, "seed": master_seed,
                              **reports[0].params}, sort_keys=True)
     for name, table in artifacts.items():
         with open(os.path.join(out_dir, f"{experiment}_{name}.csv"), "w", newline="") as fh:

@@ -49,8 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special as sp
 
-from .complex_ensemble import (_as_scalar, _gl_nodes, _gl_panels, _reg_p, _require_alpha,
-                               density_ring_limit)
+from .complex_ensemble import (_as_scalar, _gl_nodes, _gl_panels, _log_gap_sum, _reg_p,
+                               _require_alpha, density_ring_limit)
 from .linalg import pfaffian
 from .sampling import EnsembleParams
 from .special import erfcx, log_exp_series, log_gamma, lower_reg_gamma, upper_reg_gamma
@@ -224,18 +224,18 @@ def _tau_even_logmag(j, x, L: float):
 
 
 def _tau_odd_logmag(j, x, L: float):
-    """(sign, log|.|) of the antiderivative paired with the odd polynomial.
+    """log of the antiderivative paired with the odd polynomial.
 
     tau_1(x) = 2^{L/2} Gamma(L/2+1) Q(L/2+1, x^2/2); for j >= 1 the telescoping
     of the two monomials collapses to tau_{2j+1}(x) = exp(-x^2/2)|x|^L x^{2j}.
-    Even in x, so the sign is 1.  Broadcast over j and x.
+    Even in x and positive, so it has no sign factor.  Broadcast over j and x.
     """
     j = np.asarray(j, dtype=float)
     x = np.asarray(x, dtype=float)
     lq = _log_half_moment(L + 1.0, x, tail=True)
     with np.errstate(divide="ignore", invalid="ignore"):
         mono = -0.5 * x * x + (L + 2.0 * j) * np.log(np.abs(x))
-    return 1.0, np.where(j == 0, lq, mono)
+    return np.where(j == 0, lq, mono)
 
 
 def _is_real_real(x, ix, y, iy, params: EnsembleParams):
@@ -255,9 +255,9 @@ def _is_real_real(x, ix, y, iy, params: EnsembleParams):
     x, y = x[ux, None], y[uy, None]
     lr = -_HALF_LOG_2PI - log_gamma(L + 2.0 * j + 1.0)
     se_x, le_x = _tau_even_logmag(j, x, L)
-    so_x, lo_x = _tau_odd_logmag(j, x, L)
+    lo_x = _tau_odd_logmag(j, x, L)
     se_y, le_y = _tau_even_logmag(j, y, L)
-    so_y, lo_y = _tau_odd_logmag(j, y, L)
+    lo_y = _tau_odd_logmag(j, y, L)
     rows = max(1, _IS_BLOCK_BYTES // (8 * j.size))
     out = np.empty(ix.size)
     for i in range(0, ix.size, rows):
@@ -266,8 +266,7 @@ def _is_real_real(x, ix, y, iy, params: EnsembleParams):
         l2 = lo_x[bx] + le_y[by] + lr
         peak = np.maximum(l1.max(axis=-1), l2.max(axis=-1))[..., None]
         peak = np.where(np.isfinite(peak), peak, 0.0)
-        terms = (se_x[bx] * so_y * np.exp(l1 - peak)
-                 - so_x * se_y[by] * np.exp(l2 - peak))
+        terms = se_x[bx] * np.exp(l1 - peak) - se_y[by] * np.exp(l2 - peak)
         out[i:i + rows] = np.sum(terms, axis=-1) * np.exp(peak[..., 0])
     return out
 
@@ -400,10 +399,12 @@ def density_complex_azimuthal(r, params: EnsembleParams):
     geometrically from t to pi/2, in one broadcast call for all r.
     """
     r = np.asarray(r, dtype=float)
+    if not np.all(r >= 0.0):
+        raise ValueError("radii must satisfy r >= 0")
     out = np.zeros(r.shape)
     off = r != 0.0
     ro = r[off][:, None]
-    t = np.minimum(0.5 * np.pi, 1.0 / np.abs(ro))
+    t = np.minimum(0.5 * np.pi, 1.0 / ro)
     grade = np.arange(_AZIMUTH_PANELS + 1) / _AZIMUTH_PANELS
     edges = np.concatenate([np.zeros_like(t), 0.5 * np.pi * (t / (0.5 * np.pi)) ** (1.0 - grade)],
                            axis=-1)
@@ -434,17 +435,17 @@ def density_real(x, params: EnsembleParams):
 
 
 def _assemble_blocks(e: RealKernelEntries):
-    """2x2-block antisymmetric matrix from the entries on a point grid.
+    """2x2-block antisymmetric matrices from the entries on point grids.
 
-    e holds the entries on the (m, 1) x (1, m) grid of point pairs; block
-    (i, j) is [[DS(w_i, w_j), S(w_i, w_j)], [-S(w_j, w_i), IS + eps]].
+    e holds the entries on the (..., m, 1) x (..., 1, m) grid of point pairs; block
+    (i, j) of each matrix is [[DS(w_i, w_j), S(w_i, w_j)], [-S(w_j, w_i), IS + eps]].
     """
-    m = e.DS.shape[0]
-    A = np.empty((2 * m, 2 * m), dtype=complex)
-    A[0::2, 0::2] = e.DS
-    A[0::2, 1::2] = e.S
-    A[1::2, 0::2] = -e.S.T
-    A[1::2, 1::2] = e.IS + e.eps
+    m = e.DS.shape[-1]
+    A = np.empty(e.DS.shape[:-2] + (2 * m, 2 * m), dtype=complex)
+    A[..., 0::2, 0::2] = e.DS
+    A[..., 0::2, 1::2] = e.S
+    A[..., 1::2, 0::2] = -np.swapaxes(e.S, -1, -2)
+    A[..., 1::2, 1::2] = e.IS + e.eps
     return A
 
 
@@ -460,22 +461,31 @@ def _pfaffian_of_blocks(A):
     return float(np.real(pfaffian(A)))
 
 
-def correlations_pfaffian(reals, complexes, params: EnsembleParams) -> float:
+def _configurations(reals, complexes):
+    """(points, k): reals (..., k) then complexes (..., l) as (..., k + l) complex points."""
+    r = np.atleast_1d(np.asarray(reals, dtype=float))
+    c = np.atleast_1d(np.asarray(complexes, dtype=complex))
+    lead = np.broadcast_shapes(r.shape[:-1], c.shape[:-1])
+    return np.concatenate([np.broadcast_to(r, lead + r.shape[-1:]),
+                           np.broadcast_to(c, lead + c.shape[-1:])], axis=-1), r.shape[-1]
+
+
+def correlations_pfaffian(reals, complexes, params: EnsembleParams):
     """k-point correlation R_{K',L'} at K' real and L' upper-half points.
 
     Assembles the 2(K'+L') x 2(K'+L') antisymmetric kernel matrix and takes
     its Pfaffian.  R_{1,0} is density_real, R_{0,1} is density_complex.
+    reals (..., K') and complexes (..., L') broadcast leading stack axes: one value each.
     """
     _require_real_even(params)
-    reals = np.atleast_1d(np.asarray(reals, dtype=float))
-    complexes = np.atleast_1d(np.asarray(complexes, dtype=complex))
-    if np.any(complexes.imag <= 0.0):
+    p, k = _configurations(reals, complexes)
+    if np.any(p[..., k:].imag <= 0.0):
         raise ValueError("complex correlation points must satisfy Im z > 0")
-    if len(reals) + len(complexes) > params.N:
+    if p.shape[-1] > params.N:
         raise ValueError("more correlation points than eigenvalues")
-    p = np.concatenate([reals, complexes])
-    e = _kernel_arrays(p[:, None], p[None, :], params)
-    return _pfaffian_of_blocks(_assemble_blocks(e))
+    A = _assemble_blocks(_kernel_arrays(p[..., :, None], p[..., None, :], params))
+    pf = [_pfaffian_of_blocks(A[i]) for i in np.ndindex(A.shape[:-2])]
+    return _as_scalar(np.reshape(pf, A.shape[:-2]))
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +493,7 @@ def correlations_pfaffian(reals, complexes, params: EnsembleParams) -> float:
 # ---------------------------------------------------------------------------
 
 
-def log_jpdf_real_partial(reals, complexes, params: EnsembleParams) -> float:
+def log_jpdf_real_partial(reals, complexes, params: EnsembleParams):
     """log of the partial jpdf P_{N,k,l} at k real values and l complex pairs.
 
     The complex entries carry one upper-half representative per conjugate
@@ -491,31 +501,30 @@ def log_jpdf_real_partial(reals, complexes, params: EnsembleParams) -> float:
     unordered configurations, with weight 1/(k! l!), over all (k, l) with
     k + 2l = N gives 1.  The Vandermonde runs over the full multiset of N
     eigenvalues (reals plus both members of every conjugate pair).
+    reals (..., k) and complexes (..., l) broadcast leading stack axes: one value each.
     """
     _require_real_even(params)
     N, L = params.N, params.L
-    reals = np.atleast_1d(np.asarray(reals, dtype=float))
-    complexes = np.atleast_1d(np.asarray(complexes, dtype=complex))
-    k, l = len(reals), len(complexes)
+    p, k = _configurations(reals, complexes)
+    l = p.shape[-1] - k
     if k % 2 != 0:
         raise ValueError("the number of real eigenvalues must be even")
     if k + 2 * l != N:
         raise ValueError(f"need k + 2l = N, got k={k}, l={l}, N={params.N}")
-    if l and np.any(complexes.imag <= 0.0):
+    if l and np.any(p[..., k:].imag <= 0.0):
         raise ValueError("complex eigenvalue representatives must satisfy Im z > 0")
 
     j = np.arange(1, N + 1, dtype=float)
     out = ((l - N * (N + 1) / 4.0 - N * L / 2.0) * _LOG2
            - float(np.sum(log_gamma(0.5 * (L + j)))))
 
-    lam = np.concatenate([reals.astype(complex), complexes, complexes.conj()])
-    ii, jj = np.triu_indices(N, k=1)
+    lam = np.concatenate([p, p[..., k:].conj()], axis=-1)
     with np.errstate(divide="ignore"):
-        out += float(np.sum(np.log(np.abs(lam[ii] - lam[jj]))))
+        out = out + _log_gap_sum(lam)
     # point weights: the dressing psi(x)|x|^L per real, |psi(z) z^L|^2 per pair;
     # a zero weight or a coincidence gives -inf through the sums
-    weight = _log_dress(lam[:k + l], L).real
-    return out + float(np.sum(weight[:k])) + 2.0 * float(np.sum(weight[k:]))
+    weight = _log_dress(p, L).real
+    return _as_scalar(out + np.sum(weight[..., :k], -1) + 2.0 * np.sum(weight[..., k:], -1))
 
 
 # ---------------------------------------------------------------------------

@@ -38,26 +38,12 @@ from indg.real_ensemble import (
     limit_kernel_entries,
 )
 from indg.sampling import EnsembleParams, sample_induced_quadratise
+from quadrature_helpers import gl_panels
 
 
 def _line(num, name, ok, detail):
     status = "PASS" if ok else "FAIL"
     print(f"CRITERION {num:02d} ({name}): {status} — {detail}", flush=True)
-
-
-def _gl_panels(a, b, width=0.5, order=24):
-    """Composite Gauss-Legendre nodes with a forced breakpoint at 0."""
-    pts = [a, 0.0, b] if a < 0.0 < b else [a, b]
-    xs, ws = [], []
-    base_x, base_w = np.polynomial.legendre.leggauss(order)
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        n = max(1, int(math.ceil((hi - lo) / width)))
-        edges = np.linspace(lo, hi, n + 1)
-        for e0, e1 in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (e0 + e1), 0.5 * (e1 - e0)
-            xs.append(mid + half * base_x)
-            ws.append(half * base_w)
-    return np.concatenate(xs), np.concatenate(ws)
 
 
 def test_criterion_01_ring_law_radial_histogram():
@@ -185,7 +171,7 @@ def test_criterion_07_real_kernel_diagonal_consistency():
             - (1.0 - 1.0 / params16.L) * helper_t(x, x, params16) - density_real(x, params16))
         for x in grid)
     p = EnsembleParams(N=16, L=2.0, beta=1)
-    xs, ws = _gl_panels(0.0, math.sqrt(p.N + p.L) + 10.0, width=1.0, order=24)
+    xs, ws = gl_panels(0.0, math.sqrt(p.N + p.L) + 10.0, width=1.0, order=24)
     count_app = (expected_real_count(p)
                  - (1.0 - 1.0 / p.L) * 2.0 * float(np.sum(ws * helper_t(xs, xs, p))))
     count_gap = abs(expected_real_count(p) - count_app)
@@ -242,9 +228,9 @@ def test_criterion_09_counting_integrals():
         devs[(N, L)] = abs(total - N)
     params = EnsembleParams(N=16, L=4.0, beta=1)
     R = math.sqrt(16.0 + 4.0) + 8.0
-    xs, wx = _gl_panels(-R, R, width=1.0)
+    xs, wx = gl_panels(-R, R, width=1.0)
     cnt_r = float(np.sum(wx * density_real(xs, params)))
-    ys, wy = _gl_panels(1e-14, R, width=0.5)
+    ys, wy = gl_panels(1e-14, R, width=0.5)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     cnt_c = float(np.sum(np.outer(wx, wy) * density_complex(X + 1j * Y, params)))
     dev_real = abs(2.0 * cnt_c + cnt_r - 16.0)

@@ -347,8 +347,9 @@ def test_numeric_error_classification():
 
 
 @pytest.mark.parametrize("args, message", [
+    # rho is azimuthal, so a negative radius is refused by the radius rule
     (["density", "--beta", "1", "--n", "8", "--l", "2", "--grid=-1:1:5"],
-     "needs strictly upper-half-plane points"),
+     "radii must satisfy r >= 0"),
     (["density", "--beta", "1", "--n", "7", "--l", "2", "--grid", "0:1:5"],
      "restricted to even matrix dimension"),
     (["kernel", "--beta", "1", "--n", "7", "--l", "2"],
@@ -460,6 +461,35 @@ def test_verify_overlapping_sub_runs_is_a_usage_error(runner, monkeypatch):
                                "--samples", str(10 ** 6 + 1)])
     assert res.exit_code == 2, res.output
     assert "exceeds 1000000" in res.output
+
+
+@pytest.mark.parametrize("experiment, seed, samples, message", [
+    ("hole-prob", "-1", "10", "master_seed must be an integer >= 0, got -1"),
+    ("edge-profile", "-1", "1", "master_seed must be an integer >= 0, got -1"),
+])
+def test_verify_negative_seed_is_a_usage_error(runner, monkeypatch, experiment, seed, samples,
+                                               message):
+    def no_draw(params, rngs):
+        raise AssertionError("spectra chunk ran")
+
+    monkeypatch.setattr(harness, "_spectra_chunk", no_draw)
+    res = runner.invoke(main, ["verify", "--experiment", experiment, "--seed", seed,
+                               "--samples", samples])
+    assert res.exit_code == 2, res.output
+    assert message in res.output
+
+
+def test_density_negative_radius_names_the_radius_rule(runner, tmp_path):
+    # rho depends on |z| at beta=2, so its rows stand; beta=1 refuses the grid
+    res = runner.invoke(main, ["density", "--beta", "2", "--n", "4", "--l", "1",
+                               "--grid=-1:1:3", "--out", str(tmp_path / "d2.csv")])
+    assert res.exit_code == 0, res.output
+    assert len(read_csv(tmp_path / "d2.csv")) == 4
+    res = runner.invoke(main, ["density", "--beta", "1", "--n", "4", "--l", "1",
+                               "--grid=-1:1:3", "--out", str(tmp_path / "d1.csv")])
+    assert res.exit_code == 2, res.output
+    assert "radii must satisfy r >= 0" in res.output
+    assert "density_complex" not in res.output
 
 
 def test_entry_point_usage_error_has_no_traceback(tmp_path):

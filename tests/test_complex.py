@@ -147,12 +147,33 @@ def test_jpdf_zeros_and_validation():
         correlations_Rn([0.1j, 0.2j, 0.3j], params)  # n > N
 
 
+def test_stacked_configurations_equal_one_at_a_time():
+    # points on the last axis, configurations on leading axes (3, 4)
+    rng = np.random.default_rng(61)
+    for N, L in ((6, 0.0), (6, 1.5), (40, 3.0)):
+        params = P2(N, L)
+        pts = math.sqrt(N + L) / 2 * (rng.standard_normal((3, 4, N))
+                                      + 1j * rng.standard_normal((3, 4, N)))
+        jp = log_jpdf_complex(pts, params)
+        rn = correlations_Rn(pts[..., :3], params)
+        assert jp.shape == rn.shape == (3, 4)
+        for i in np.ndindex(3, 4):
+            one = log_jpdf_complex(pts[i], params)
+            assert type(one) is float
+            assert abs(jp[i] - one) <= 1e-13 * max(1.0, abs(one)), (N, L, i)
+            assert rn[i] == correlations_Rn(pts[i][:3], params), (N, L, i)
+    params = P2(4, 0.5)
+    assert correlations_Rn(np.zeros((2, 0)), params).tolist() == [1.0, 1.0]
+    assert correlations_Rn(np.zeros((0, 3)), params).shape == (0,)
+    assert log_jpdf_complex(np.zeros((0, 4)), params).shape == (0,)
+
+
 def test_correlations_nonnegative():
     params = P2(5, 0.5)
     rng = np.random.default_rng(59)
-    for _ in range(20):
-        pts = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        assert correlations_Rn(pts, params) > -1e-12
+    draws = rng.standard_normal((20, 2, 3))  # per configuration: 3 real parts, 3 imaginary
+    pts = draws[:, 0] + 1j * draws[:, 1]
+    assert np.all(correlations_Rn(pts, params) > -1e-12)
 
 
 # ------------------------------------------------------------------ hole

@@ -465,6 +465,21 @@ def test_experiment_registry_and_validation():
         run_mc("real-count", 0, 1)  # one sample has no standard error
 
 
+@pytest.mark.parametrize("seed, n, message", [
+    (-1, 10, "master_seed must be an integer >= 0, got -1"),
+    (1.7, 2.5, "master_seed must be an integer >= 0, got 1.7"),
+    (1, 2.5, "n_samples must be an integer >= 1, got 2.5"),
+    (1, 0, "n_samples must be an integer >= 1, got 0"),
+])
+def test_run_mc_checks_seed_and_count_before_any_draw(monkeypatch, seed, n, message):
+    def no_draw(params, rngs):
+        raise AssertionError("spectra chunk ran")
+
+    monkeypatch.setattr(harness, "_spectra_chunk", no_draw)
+    with pytest.raises(ValueError, match=message):
+        run_mc("hole-prob", seed, n)
+
+
 def test_hole_prob_deterministic_across_workers():
     r1 = run_mc("hole-prob", 123, 200, workers=1)
     r3 = run_mc("hole-prob", 123, 200, workers=3)

@@ -46,25 +46,11 @@ from indg.real_ensemble import (
     skew_poly_norm,
 )
 from indg.sampling import EnsembleParams, sample_induced_quadratise
+from quadrature_helpers import gl_panels
 
 
 def P1(N, L):
     return EnsembleParams(N=N, L=L, beta=1)
-
-
-def gl_panels(a, b, width=0.5, order=24):
-    """Composite Gauss-Legendre nodes with a forced breakpoint at 0."""
-    pts = [a, 0.0, b] if a < 0.0 < b else [a, b]
-    xs, ws = [], []
-    base_x, base_w = np.polynomial.legendre.leggauss(order)
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        n = max(1, int(math.ceil((hi - lo) / width)))
-        edges = np.linspace(lo, hi, n + 1)
-        for e0, e1 in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (e0 + e1), 0.5 * (e1 - e0)
-            xs.append(mid + half * base_x)
-            ws.append(half * base_w)
-    return np.concatenate(xs), np.concatenate(ws)
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +94,7 @@ def tau_closed(j, L, w):
     if j % 2 == 0:
         s, lm = _tau_even_logmag(j // 2, w.real, L)
     else:
-        s, lm = _tau_odd_logmag((j - 1) // 2, w.real, L)
+        s, lm = 1.0, _tau_odd_logmag((j - 1) // 2, w.real, L)
     return s * math.exp(lm) if np.isfinite(lm) else 0.0
 
 
@@ -441,17 +427,11 @@ def test_jpdf_normalization_and_real_pair_probability():
         R = 8.0
         xs, wx = gl_panels(-R, R, width=1.0, order=16)
         vs, wv = gl_panels(1e-14, 2 * R, width=1.0, order=16)
-        p22 = 0.0
-        for a, wa in zip(xs, wx):
-            row = np.array([math.exp(log_jpdf_real_partial([a, a + v], [], params))
-                            for v in vs])
-            p22 += wa * float(np.sum(wv * row))
+        pairs = np.stack(np.broadcast_arrays(xs[:, None], xs[:, None] + vs), axis=-1)
+        p22 = float(wx @ (np.exp(log_jpdf_real_partial(pairs, [], params)) @ wv))
         ys, wy = gl_panels(1e-14, R, width=1.0, order=16)
-        p20 = 0.0
-        for a, wa in zip(xs, wx):
-            row = np.array([math.exp(log_jpdf_real_partial([], [a + 1j * b], params))
-                            for b in ys])
-            p20 += wa * float(np.sum(wy * row))
+        reps = (xs[:, None] + 1j * ys)[..., None]
+        p20 = float(wx @ (np.exp(log_jpdf_real_partial([], reps, params)) @ wy))
         assert abs(p22 + p20 - 1.0) < 1e-6, (L, p22, p20)
         assert abs(p22 - want22) < 1e-6, (L, p22, want22)
 
@@ -463,8 +443,8 @@ def test_jpdf_marginal_equals_density_n2():
             m = 0.0
             for lo, hi in ((-9.0, x0), (x0, 9.0)):
                 ts, wt = gl_panels(lo, hi, width=0.5, order=20)
-                m += float(np.sum(wt * np.array(
-                    [math.exp(log_jpdf_real_partial([x0, t], [], params)) for t in ts])))
+                pairs = np.stack([np.full_like(ts, x0), ts], axis=-1)
+                m += float(np.sum(wt * np.exp(log_jpdf_real_partial(pairs, [], params))))
             d = float(density_real(x0, params))
             assert abs(m - d) < 1e-8 * max(1.0, d), (L, x0, m, d)
 
@@ -479,6 +459,40 @@ def test_pfaffian_squared_is_determinant_on_kernel_blocks():
         det = np.linalg.det(A)
         assert abs(pf ** 2 - det.real) < 1e-9 * max(1.0, abs(det))
         assert abs(det.imag) < 1e-12 * max(1.0, abs(det))
+
+
+def test_stacked_configurations_equal_one_at_a_time():
+    # points on the last axis, configurations on leading axes (3, 4); reals
+    # and complexes broadcast, here also against one unstacked configuration
+    rng = np.random.default_rng(62)
+    for N, L in ((6, 0.0), (8, 2.5)):
+        params = P1(N, L)
+        reals = 1.5 * rng.standard_normal((3, 4, 2))
+        l = (N - 2) // 2
+        complexes = rng.standard_normal((3, 4, l)) + 1j * rng.uniform(0.1, 1.5, (3, 4, l))
+        for cs in (complexes, complexes[1, 2]):
+            jp = log_jpdf_real_partial(reals, cs, params)
+            pf = correlations_pfaffian(reals, cs[..., :1], params)
+            assert jp.shape == pf.shape == (3, 4)
+            for i in np.ndindex(3, 4):
+                c = cs if cs.ndim == 1 else cs[i]
+                one = log_jpdf_real_partial(reals[i], c, params)
+                assert type(one) is float
+                assert abs(jp[i] - one) <= 1e-13 * max(1.0, abs(one)), (N, L, i)
+                assert pf[i] == correlations_pfaffian(reals[i], c[:1], params), (N, L, i)
+    params = P1(4, 1.0)
+    assert correlations_pfaffian(np.zeros((2, 0)), [], params).tolist() == [1.0, 1.0]
+    assert correlations_pfaffian(np.zeros((0, 2)), [], params).shape == (0,)
+    assert correlations_pfaffian([], np.zeros((0, 1)) + 1j, params).shape == (0,)
+    assert log_jpdf_real_partial(np.zeros((0, 4)), [], params).shape == (0,)
+
+
+def test_azimuthal_density_refuses_negative_radii():
+    params = P1(4, 1.0)
+    with pytest.raises(ValueError, match="radii must satisfy r >= 0"):
+        density_complex_azimuthal(np.array([-1.0, 0.0, 1.0]), params)
+    with pytest.raises(ValueError, match="radii must satisfy r >= 0"):
+        density_complex_azimuthal(np.nan, params)
 
 
 def test_correlations_validation():
