@@ -45,6 +45,9 @@ def _parse_grid(spec):
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise click.UsageError(f"--grid wants numeric start:stop:count, got {spec!r}")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        # checked before np.linspace, which warns on a non-finite end point
+        raise click.UsageError(f"--grid needs finite start and stop, got {spec!r}")
     if count < 1 or stop < start:
         raise click.UsageError("--grid needs stop >= start and count >= 1")
     return np.linspace(start, stop, count)

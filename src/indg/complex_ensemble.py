@@ -22,9 +22,9 @@ Real L >= 0 is supported throughout; only the samplers need integer L.
 import math
 
 import numpy as np
-from scipy import special as _sp
 
-from .special import lower_reg_gamma, upper_reg_gamma, erfc, log_gamma, log_exp_series
+from .special import (_scipy_special, erfc, log_exp_series, log_gamma, lower_reg_gamma,
+                      upper_reg_gamma)
 from .sampling import EnsembleParams
 
 __all__ = [
@@ -217,7 +217,7 @@ def bulk_edge_limit_kernels(points, u, regime, alpha):
     if regime == "edge":
         # complex-argument erfc: the offsets enter through z_j u~ + z_k~ u
         zj, zk = pts[:, None], pts[None, :]
-        M = M * 0.5 * _sp.erfc((zj * np.conj(u) + np.conj(zk) * u) / np.sqrt(2.0))
+        M = M * 0.5 * _scipy_special().erfc((zj * np.conj(u) + np.conj(zk) * u) / np.sqrt(2.0))
     return float(np.linalg.det(M).real)
 
 

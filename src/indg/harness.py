@@ -129,9 +129,12 @@ def report_payload_bytes(reports):
 
 
 def resolve_workers(workers=None):
-    """Explicit flag wins; else cpu count capped by the INDG_THREADS env var."""
+    """Explicit flag wins; else cpu count capped by the INDG_THREADS env var.
+
+    An explicit count must be an integer >= 1; anything else raises ValueError.
+    """
     if workers is not None:
-        return max(1, int(workers))
+        return _require_integer("workers", workers, 1)
     n = os.cpu_count() or 1
     cap = os.environ.get("INDG_THREADS")
     if cap:
@@ -498,10 +501,10 @@ def run_mc(experiment, master_seed, n_samples, workers=None, out_dir=None):
     Deterministic given (experiment, master_seed, n_samples) for any worker
     count and any BLAS thread count of the caller: numpy's OpenBLAS runs at
     one thread inside (linalg._one_blas_thread).  master_seed must be an
-    integer >= 0 and n_samples an integer >= 1; anything else raises
-    ValueError before any sample is drawn.  With out_dir set, writes
-    <experiment>_report.json plus one CSV per histogram/table artifact, every
-    file carrying the parameter set and seed.
+    integer >= 0, and n_samples and workers (when given) integers >= 1;
+    anything else raises ValueError before any sample is drawn.  With
+    out_dir set, writes <experiment>_report.json plus one CSV per
+    histogram/table artifact, every file carrying the parameter set and seed.
     """
     if experiment not in EXPERIMENTS:
         raise ValueError(

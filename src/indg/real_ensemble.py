@@ -47,13 +47,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special as sp
 
 from .complex_ensemble import (_as_scalar, _gl_nodes, _gl_panels, _log_gap_sum, _reg_p,
                                _require_alpha, density_ring_limit)
 from .linalg import pfaffian
 from .sampling import EnsembleParams
-from .special import erfcx, log_exp_series, log_gamma, lower_reg_gamma, upper_reg_gamma
+from .special import (_scipy_special, erfcx, log_exp_series, log_gamma, lower_reg_gamma,
+                      upper_reg_gamma)
 
 __all__ = [
     "RealKernelEntries",
@@ -625,6 +625,7 @@ def limit_kernel_entries(a, b, u: float | None = None) -> RealKernelEntries:
     if u is not None and np.any((p.imag == 0.0) | (q.imag == 0.0)):
         raise ValueError("edge limit kernels are restricted to complex offsets")
 
+    sp = _scipy_special()
     s, sc = _limit_g(p, q), _limit_g(p, q.conj())
     if u is not None:
         s = s * 0.5 * sp.erfc(u * (p + q) / math.sqrt(2.0))
@@ -682,6 +683,7 @@ def density_real_edge_profile(xi):
     distance into the forbidden region.
     """
     xi = np.asarray(xi, dtype=float)
+    sp = _scipy_special()
     val = (
         0.5 * sp.erfc(math.sqrt(2.0) * xi)
         + np.exp(-xi * xi) * sp.erfc(-xi) / (2.0 * math.sqrt(2.0))

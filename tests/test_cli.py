@@ -177,6 +177,16 @@ def test_density_grid_validation(runner, tmp_path):
         res = runner.invoke(main, ["density", "--beta", "2", "--n", "4", "--l", "0",
                                    "--grid", bad, "--out", out])
         assert res.exit_code == 2, bad
+    # a non-finite end is refused before np.linspace, which would warn on it
+    for beta in ("1", "2"):
+        for bad in ("0:inf:3", "-inf:1:3", "nan:1:3", "0:nan:3"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = runner.invoke(main, ["density", "--beta", beta, "--n", "4", "--l", "1",
+                                           "--grid", bad, "--out", out])
+            assert res.exit_code == 2, res.output
+            assert f"--grid needs finite start and stop, got {bad!r}" in res.output
+    assert not os.path.exists(out)
 
 
 def test_kernel_command(runner, tmp_path):
@@ -477,6 +487,46 @@ def test_verify_negative_seed_is_a_usage_error(runner, monkeypatch, experiment, 
                                "--samples", samples])
     assert res.exit_code == 2, res.output
     assert message in res.output
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_verify_bad_worker_count_is_a_usage_error(runner, monkeypatch, workers):
+    def no_draw(params, rngs):
+        raise AssertionError("spectra chunk ran")
+
+    monkeypatch.setattr(harness, "_spectra_chunk", no_draw)
+    res = runner.invoke(main, ["verify", "--experiment", "hole-prob", "--seed", "1",
+                               "--samples", "10", "--workers", workers])
+    assert res.exit_code == 2, res.output
+    assert f"workers must be an integer >= 1, got {workers}" in res.output
+
+
+# Which commands load scipy.special: sample and channel need numpy alone, and
+# the first analytic call (density) loads it.
+_LOADS_SPECIAL = """
+import sys
+from indg.cli import main
+
+def loaded_after(*args):
+    main(list(args), standalone_mode=False)
+    return "scipy.special" in sys.modules
+
+out = sys.argv[1]
+print(loaded_after("sample", "--beta", "1", "--n", "6", "--l", "2", "--count", "2",
+                   "--seed", "1", "--out", out + "/m.npz"),
+      loaded_after("channel", "--d", "3", "--k", "4", "--seed", "1", "--out", out + "/c.json"),
+      loaded_after("density", "--beta", "2", "--n", "4", "--l", "1", "--grid", "0:2:3",
+                   "--out", out + "/d.csv"))
+"""
+
+
+def test_sampling_commands_leave_scipy_special_unloaded(tmp_path):
+    src = str(Path(indg.__file__).parents[1])
+    res = subprocess.run([sys.executable, "-c", _LOADS_SPECIAL, str(tmp_path)],
+                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+                         timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip().splitlines()[-1] == "False False True"
 
 
 def test_density_negative_radius_names_the_radius_rule(runner, tmp_path):

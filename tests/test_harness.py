@@ -77,7 +77,9 @@ def test_report_payload_excludes_wall_time():
 
 def test_resolve_workers(monkeypatch):
     assert resolve_workers(4) == 4
-    assert resolve_workers(0) == 1
+    for bad in (0, -1, 1.5, "2"):
+        with pytest.raises(ValueError, match=f"workers must be an integer >= 1, got {bad!r}"):
+            resolve_workers(bad)
     monkeypatch.setenv("INDG_THREADS", "2")
     assert resolve_workers() <= 2
 

@@ -251,16 +251,18 @@ def test_eigenvalues_one_lapack_call(monkeypatch):
     assert calls == [(6, 6), (6, 6)]
 
 
-def test_import_leaves_scipy_linalg_unloaded():
+def test_import_loads_neither_scipy_linalg_nor_special():
     # the sampling path uses numpy's LAPACK only; scipy.linalg would load a
-    # second BLAS beside it
+    # second BLAS beside it, and scipy.special waits for the first call that
+    # needs it (most of a cold import's time)
     import indg
 
-    code = "import sys, indg, indg.cli; print('scipy.linalg' in sys.modules)"
+    code = ("import sys, indg, indg.cli; "
+            "print([m in sys.modules for m in ('scipy.linalg', 'scipy.special')])")
     src = os.path.dirname(os.path.dirname(indg.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[False, False]"
 
 
 def test_eigenvalues_beta2_trace():

@@ -1,11 +1,15 @@
 """Incomplete gamma / erfc wrappers against quadrature and partial-sum oracles."""
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+import indg
 from indg.special import erfc, erfcx, log_gamma, lower_reg_gamma, upper_reg_gamma
 
 
@@ -113,3 +117,38 @@ def test_domain_errors():
         erfcx(np.inf)
     with pytest.raises(ValueError):
         log_gamma(0.0)
+
+
+# Analytic values, as one hex string, from every path that reaches scipy.special:
+# the gamma wrappers (density, kernel_entries, hole_probability) and the loader's
+# direct callers (complex and real erf/erfc in the limit forms).
+_VALUES = """
+import numpy as np
+from indg import complex_ensemble as cx, real_ensemble as re1
+from indg.sampling import EnsembleParams
+
+def values():
+    p2, p1 = EnsembleParams(N=12, L=2.5, beta=2), EnsembleParams(N=8, L=1.5, beta=1)
+    e = re1.kernel_entries(np.array([0.7 + 0.9j, 1.2]), np.array([[1.2], [0.3 + 0.2j]]), p1)
+    le = re1.limit_kernel_entries(0.2 + 0.5j, 0.4 + 0.1j, u=1.0)
+    out = [cx.density(np.linspace(0.0, 5.0, 7), p2), e.DS, e.S, e.IS, e.eps,
+           cx.hole_probability(np.linspace(0.0, 3.0, 5), p2), le.DS, le.S, le.IS,
+           cx.bulk_edge_limit_kernels([0.1 + 0.2j, -0.3j], 1.0, "edge", 1.0),
+           re1.density_real_edge_profile(np.linspace(-2.0, 2.0, 5))]
+    return "".join(np.asarray(v).tobytes().hex() for v in out)
+"""
+
+
+def test_fresh_interpreter_gives_the_same_bits():
+    # in a fresh interpreter the first analytic call imports scipy.special;
+    # its values must not depend on which call did that
+    code = _VALUES + "import sys\nprint('scipy.special' in sys.modules, values())\n"
+    src = os.path.dirname(os.path.dirname(indg.__file__))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert res.returncode == 0, res.stderr
+    loaded, fresh = res.stdout.split()
+    assert loaded == "False"
+    scope = {}
+    exec(_VALUES, scope)
+    assert fresh == scope["values"]()
