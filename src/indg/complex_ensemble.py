@@ -57,9 +57,11 @@ def _as_scalar(val):
 
 
 def _reg_p(a, x):
-    """P(a, x), with the a=0 limit taken identically as 1."""
+    """P(a, x), with the a=0 limit taken identically as 1 on finite x."""
     if a == 0:
         x = np.asarray(x, dtype=float)
+        if not np.all(np.isfinite(x)):
+            raise ValueError("incomplete gamma arguments must be finite")
         return np.ones_like(x) if x.ndim else 1.0
     return lower_reg_gamma(a, x)
 
@@ -131,6 +133,8 @@ def hole_probability(s, params):
 
 
 def _heaviside(x):
+    if not np.all(np.isfinite(x)):
+        raise ValueError("limit density needs a finite point")
     return np.where(x > 0, 1.0, np.where(x < 0, 0.0, THETA_AT_EDGE))
 
 

@@ -44,7 +44,8 @@ A spectrum is the array linalg.eigenvalues returns, nothing else.  A chunk
 returns arrays with one row per index: eigenvalue rows, modulus rows
 (sampler-equiv) or eigenvalue rows plus a trace vector (channel-ring).  Each
 experiment reduces the concatenated rows with array expressions:
-np.histogram counts, real_mask sums, row minima, a masked maximum.
+np.histogram counts, real_mask sums, row minima, row sorts.  Each table an
+experiment returns carries the parameters of the sub-run that made it.
 """
 
 import csv
@@ -131,7 +132,7 @@ def report_payload_bytes(reports):
 def resolve_workers(workers=None):
     """Explicit flag wins; else cpu count capped by the INDG_THREADS env var.
 
-    An explicit count must be an integer >= 1; anything else raises ValueError.
+    The count and a set cap must be integers >= 1, else ValueError names them.
     """
     if workers is not None:
         return _require_integer("workers", workers, 1)
@@ -139,9 +140,9 @@ def resolve_workers(workers=None):
     cap = os.environ.get("INDG_THREADS")
     if cap:
         try:
-            n = min(n, max(1, int(cap)))
+            n = min(n, _require_integer("INDG_THREADS", int(cap), 1))
         except ValueError:
-            raise ValueError(f"INDG_THREADS must be an integer, got {cap!r}") from None
+            raise ValueError(f"INDG_THREADS must be an integer >= 1, got {cap!r}") from None
     return n
 
 
@@ -232,7 +233,7 @@ def ks_two_sample(a, b):
     grid = np.concatenate([a, b])
     fa = np.searchsorted(a, grid, side="right") / a.size
     fb = np.searchsorted(b, grid, side="right") / b.size
-    t = float(np.max(np.abs(fa - fb)))
+    t = float(np.abs(fa - fb).max())
     m, n = a.size, b.size
     p = min(1.0, 2.0 * math.exp(-2.0 * t * t * m * n / (m + n)))
     return t, p
@@ -269,14 +270,12 @@ def _expected_line_real(edges, params, n_samples):
     return n_samples * np.sum(w * s * re1.density_real(s * x, params), axis=1)
 
 
-def _bins_within_3sigma(counts, expected):
-    sigma = np.sqrt(np.maximum(expected, 1.0))
-    return int(np.sum(np.abs(counts - expected) <= 3.0 * sigma))
-
-
-def _bin_table(var, edges, counts, expected):
-    """CSV rows: one (lo, hi, count, expected) row per bin."""
-    return [(f"{var}_lo", f"{var}_hi", "count", "expected")] + list(
+def _histogram_check(var, values, edges, expected):
+    """Bins of the histogram of values whose count lies within 3 sigma of expected,
+    and the CSV rows: one (lo, hi, count, expected) row per bin."""
+    counts = np.histogram(values, bins=edges)[0]
+    ok = int(np.sum(np.abs(counts - expected) <= 3.0 * np.sqrt(expected.clip(1.0))))
+    return ok, [(f"{var}_lo", f"{var}_hi", "count", "expected")] + list(
         zip(edges[:-1], edges[1:], counts.tolist(), expected))
 
 
@@ -289,9 +288,12 @@ def _spectra_chunk(params, rngs):
     return eigenvalues(quadratised_draws(params, rngs), params.beta)
 
 
-def _spectra_run(params, n_samples):
-    """The _map_runs run of n_samples quadratised spectra, one eigenvalue row each."""
-    return partial(_spectra_chunk, params), n_samples, params.N
+def _spectra(ensembles, n_samples, workers, master_seed):
+    """n_samples quadratised spectra of each ensemble, one eigenvalue row each,
+    drawn in one _map_runs call: one concatenated array per ensemble."""
+    runs = _map_runs([(partial(_spectra_chunk, params), n_samples, params.N)
+                      for params in ensembles], workers, master_seed)
+    return [np.concatenate(rows) for rows in runs]
 
 
 def _sampler_pairs_chunk(params, rngs):
@@ -331,27 +333,24 @@ def _channel_chunk(geometry, rngs):
 def _exp_radial_density(master_seed, n_samples, workers):
     params = EnsembleParams(N=128, L=32, beta=2)
     scale = 1.0 / math.sqrt(params.N + params.L)
-    ev = np.concatenate(_map_runs([_spectra_run(params, n_samples)], workers, master_seed)[0])
-    counts = np.histogram(np.abs(ev) * scale, bins=_EDGES)[0]
-    expected = _expected_radial_complex(_EDGES, params, n_samples)
-    ok = _bins_within_3sigma(counts, expected)
+    [ev] = _spectra([params], n_samples, workers, master_seed)
+    ok, rows = _histogram_check("r", np.abs(ev) * scale, _EDGES,
+                                _expected_radial_complex(_EDGES, params, n_samples))
     meta = {"N": params.N, "L": params.L, "beta": 2, "n_samples": n_samples,
             "bins": DEFAULT_BINS}
     report = ExperimentReport.build(
         "radial-density", meta, "bins_within_3sigma", ok, DEFAULT_BINS,
         4.0, master_seed)
-    return [report], {"radial_histogram": _bin_table("r", _EDGES, counts, expected)}
+    return [report], {"radial_histogram": (meta, rows)}
 
 
 def _exp_real_count(master_seed, n_samples, workers):
     if n_samples < 2:
         raise ValueError("real-count needs n_samples >= 2 for the standard error of its mean")
     ensembles = (EnsembleParams(N=128, L=32, beta=1), EnsembleParams(N=128, L=0, beta=1))
-    runs = _map_runs([_spectra_run(params, n_samples) for params in ensembles],
-                     workers, master_seed)
     reports, artifacts = [], {}
-    for params, rows in zip(ensembles, runs):
-        counts = np.sum(real_mask(np.concatenate(rows)), axis=1).astype(float)
+    for params, ev in zip(ensembles, _spectra(ensembles, n_samples, workers, master_seed)):
+        counts = np.sum(real_mask(ev), axis=1).astype(float)
         mean = float(counts.mean())
         se = float(counts.std(ddof=1) / math.sqrt(len(counts)))
         meta = {"N": params.N, "L": params.L, "beta": 1, "n_samples": n_samples,
@@ -364,25 +363,25 @@ def _exp_real_count(master_seed, n_samples, workers):
             "real-count", meta, "mean_vs_leading_order", mean, asym, 3.0 * se, master_seed))
         values, freq = np.unique(counts.astype(int), return_counts=True)
         artifacts[f"real_count_hist_L{int(params.L)}"] = (
-            [("n_real", "frequency")] + list(zip(values.tolist(), freq.tolist())))
+            meta, [("n_real", "frequency")] + list(zip(values.tolist(), freq.tolist())))
     return reports, artifacts
 
 
 def _exp_hole_prob(master_seed, n_samples, workers):
     params = EnsembleParams(N=20, L=2, beta=2)
     radii = np.array([0.5, 1.0, 1.5])
-    ev = np.concatenate(_map_runs([_spectra_run(params, n_samples)], workers, master_seed)[0])
+    [ev] = _spectra([params], n_samples, workers, master_seed)
     rmin = np.min(np.abs(ev), axis=1)
     fracs = (rmin[:, None] > radii).mean(axis=0)
     table = [("s", "analytic", "empirical")] + list(
         zip(radii.tolist(), cx.hole_probability(radii, params).tolist(), fracs.tolist()))
+    meta = {"N": params.N, "L": params.L, "beta": 2, "n_samples": n_samples}
     reports = []
     for s, a, frac in table[1:]:
         tol = 3.0 * math.sqrt(a * (1.0 - a) / n_samples)
-        meta = {"N": params.N, "L": params.L, "beta": 2, "n_samples": n_samples, "s": s}
         reports.append(ExperimentReport.build(
-            "hole-prob", meta, "empty_disk_fraction", frac, a, tol, master_seed))
-    return reports, {"hole_prob": table}
+            "hole-prob", {**meta, "s": s}, "empty_disk_fraction", frac, a, tol, master_seed))
+    return reports, {"hole_prob": (meta, table)}
 
 
 def _exp_sampler_equiv(master_seed, n_samples, workers):
@@ -409,8 +408,7 @@ def _exp_channel_ring(master_seed, n_samples, workers):
         r_in, r_out = predicted_ring(d, k)
         spectra, traces = (np.concatenate(part) for part in zip(*results))
         # each map's leading eigenvalue (largest modulus) sits outside the ring
-        mod = np.abs(spectra)
-        mod = np.ma.masked_array(mod, np.arange(mod.shape[1]) == mod.argmax(axis=1)[:, None])
+        mod = np.sort(np.abs(spectra), axis=1)[:, :-1]
         inside = ((mod >= r_in - 0.05) & (mod <= r_out + 0.05)).sum()
         rows = [("realization", "re", "im")] + list(zip(
             np.repeat(np.arange(n_samples), spectra.shape[1]).tolist(),
@@ -418,13 +416,13 @@ def _exp_channel_ring(master_seed, n_samples, workers):
         meta = {"d": d, "k": k, "n_samples": n_samples,
                 "r_in": r_in, "r_out": r_out, "delta": 0.05}
         reports.append(ExperimentReport.build(
-            "channel-ring", meta, "annulus_containment", inside / mod.count(), 1.0, 0.1,
+            "channel-ring", meta, "annulus_containment", inside / mod.size, 1.0, 0.1,
             master_seed))
         want = d * (k + 1) / k
         reports.append(ExperimentReport.build(
             "channel-ring", meta, "mean_trace_norm", float(traces.mean()), want,
             0.10 * want, master_seed))
-        artifacts[f"channel_spectra_d{d}_k{k}"] = rows
+        artifacts[f"channel_spectra_d{d}_k{k}"] = (meta, rows)
     return reports, artifacts
 
 
@@ -438,39 +436,35 @@ def _exp_edge_profile(master_seed, n_samples, workers):
     want = cx.density_edge_profile(xis)
     outer = cx.density(r_out + xis, params)
     inner = cx.density(r_in - xis, params)
-    dev = np.max(np.abs([outer - want, inner - want]))
+    dev = np.abs([outer - want, inner - want]).max()
     rows = [("xi", "profile", "density_outer", "density_inner")] + list(
         zip(xis.tolist(), want.tolist(), outer.tolist(), inner.tolist()))
     meta = {"N": params.N, "L": params.L, "beta": 2, "xi_grid": xis.tolist()}
     report = ExperimentReport.build(
         "edge-profile", meta, "max_profile_deviation", dev, 0.0, 0.01 / math.pi,
         master_seed)
-    return [report], {"edge_profile": rows}
+    return [report], {"edge_profile": (meta, rows)}
 
 
 def _exp_real_density(master_seed, n_samples, workers):
     params = EnsembleParams(N=16, L=4, beta=1)
     scale = 1.0 / math.sqrt(params.N + params.L)
-    ev = np.concatenate(_map_runs([_spectra_run(params, n_samples)], workers, master_seed)[0])
+    [ev] = _spectra([params], n_samples, workers, master_seed)
     line_edges = np.linspace(-1.2, 1.2, DEFAULT_BINS + 1)
     # dgeev returns each conjugate pair exactly, so both members are binned
-    radial = np.histogram(np.abs(ev) * scale, bins=_EDGES)[0]
-    line = np.histogram(ev.real[real_mask(ev)] * scale, bins=line_edges)[0]
-    exp_radial = _expected_radial_real(_EDGES, params, n_samples)
-    exp_line = _expected_line_real(line_edges, params, n_samples)
+    radial_ok, radial = _histogram_check("r", np.abs(ev) * scale, _EDGES,
+                                         _expected_radial_real(_EDGES, params, n_samples))
+    line_ok, line = _histogram_check("x", ev.real[real_mask(ev)] * scale, line_edges,
+                                     _expected_line_real(line_edges, params, n_samples))
     meta = {"N": params.N, "L": params.L, "beta": 1, "n_samples": n_samples,
             "bins": DEFAULT_BINS}
     reports = [
         ExperimentReport.build("real-density", meta, "radial_bins_within_3sigma",
-                               _bins_within_3sigma(radial, exp_radial),
-                               DEFAULT_BINS, 4.0, master_seed),
+                               radial_ok, DEFAULT_BINS, 4.0, master_seed),
         ExperimentReport.build("real-density", meta, "real_axis_bins_within_3sigma",
-                               _bins_within_3sigma(line, exp_line),
-                               DEFAULT_BINS, 4.0, master_seed),
+                               line_ok, DEFAULT_BINS, 4.0, master_seed),
     ]
-    artifacts = {"real_density_radial": _bin_table("r", _EDGES, radial, exp_radial),
-                 "real_density_axis": _bin_table("x", line_edges, line, exp_line)}
-    return reports, artifacts
+    return reports, {"real_density_radial": (meta, radial), "real_density_axis": (meta, line)}
 
 
 EXPERIMENTS = {
@@ -485,9 +479,9 @@ EXPERIMENTS = {
 
 
 def _require_integer(name, value, least):
-    """value as an int; ValueError naming it unless it is an integer >= least."""
+    """value as an int; ValueError naming it unless it is a non-bool integer >= least."""
     try:
-        n = operator.index(value)
+        n = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
         n = None
     if n is None or n < least:
@@ -504,7 +498,8 @@ def run_mc(experiment, master_seed, n_samples, workers=None, out_dir=None):
     integer >= 0, and n_samples and workers (when given) integers >= 1;
     anything else raises ValueError before any sample is drawn.  With
     out_dir set, writes <experiment>_report.json plus one CSV per
-    histogram/table artifact, every file carrying the parameter set and seed.
+    histogram/table artifact, each headed by the seed and the parameters of
+    the sub-run that made it.
     """
     if experiment not in EXPERIMENTS:
         raise ValueError(
@@ -530,9 +525,9 @@ def _write_outputs(experiment, reports, artifacts, out_dir, master_seed):
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    provenance = json.dumps({"experiment": experiment, "seed": master_seed,
-                             **reports[0].params}, sort_keys=True)
-    for name, table in artifacts.items():
+    for name, (params, table) in artifacts.items():
+        provenance = json.dumps({"experiment": experiment, "seed": master_seed, **params},
+                                sort_keys=True)
         with open(os.path.join(out_dir, f"{experiment}_{name}.csv"), "w", newline="") as fh:
             fh.write(f"# {provenance}\n")
             writer = csv.writer(fh)

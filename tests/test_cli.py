@@ -281,6 +281,23 @@ def test_verify_pass_and_fail(runner, tmp_path):
     assert res.exit_code == 2
 
 
+def test_verify_out_heads_each_table_with_its_own_run(runner, tmp_path):
+    out_dir = tmp_path / "mc"
+    res = runner.invoke(main, ["verify", "--experiment", "real-count", "--seed", "3",
+                               "--samples", "4", "--out", str(out_dir)])
+    assert res.exit_code in (0, 1), res.output
+    doc = json.loads(res.output)
+    assert sorted(os.listdir(out_dir)) == [
+        "real-count_real_count_hist_L0.csv", "real-count_real_count_hist_L32.csv",
+        "real-count_report.json"]
+    for L in (0, 32):
+        with open(out_dir / f"real-count_real_count_hist_L{L}.csv") as fh:
+            header = json.loads(fh.readline()[2:])
+        params = {rep["params"]["L"]: rep["params"] for rep in doc["reports"]}[L]
+        assert header == {"experiment": "real-count", "seed": 3, **params}
+        assert header["L"] == L
+
+
 def test_channel_command(runner, tmp_path):
     out = str(tmp_path / "chan.json")
     res = runner.invoke(main, ["channel", "--d", "6", "--k", "8",
@@ -342,7 +359,13 @@ def test_verify_non_integer_thread_cap_names_the_variable(runner, monkeypatch):
     res = runner.invoke(main, ["verify", "--experiment", "hole-prob",
                                "--seed", "0", "--samples", "4"])
     assert res.exit_code == 2
-    assert "INDG_THREADS must be an integer, got 'abc'" in res.output
+    assert "INDG_THREADS must be an integer >= 1, got 'abc'" in res.output
+    # a zero cap is refused the same way, not run on one worker
+    monkeypatch.setenv("INDG_THREADS", "0")
+    res = runner.invoke(main, ["verify", "--experiment", "hole-prob",
+                               "--seed", "1", "--samples", "10"])
+    assert res.exit_code == 2
+    assert "INDG_THREADS must be an integer >= 1, got '0'" in res.output
 
 
 def test_numeric_error_classification():

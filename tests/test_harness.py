@@ -77,11 +77,17 @@ def test_report_payload_excludes_wall_time():
 
 def test_resolve_workers(monkeypatch):
     assert resolve_workers(4) == 4
-    for bad in (0, -1, 1.5, "2"):
+    for bad in (0, -1, 1.5, "2", True, False):
         with pytest.raises(ValueError, match=f"workers must be an integer >= 1, got {bad!r}"):
             resolve_workers(bad)
     monkeypatch.setenv("INDG_THREADS", "2")
     assert resolve_workers() <= 2
+    # a set cap follows the same rule, and is not clamped to one
+    for cap in ("0", "-3", "1.5", "abc"):
+        monkeypatch.setenv("INDG_THREADS", cap)
+        with pytest.raises(ValueError, match=f"INDG_THREADS must be an integer >= 1, got {cap!r}"):
+            resolve_workers()
+        assert resolve_workers(3) == 3  # an explicit count does not read the cap
 
 
 def _spawn_indices(rngs):
@@ -327,9 +333,9 @@ def test_failing_stacked_eigvals_names_the_salted_index(monkeypatch):
 
     monkeypatch.setattr(harness, "eigenvalues", eigvals_failing_on_target)
     # chunks of 26: index 35 sits inside the second chunk, not at its edge
+    run = partial(harness._spectra_chunk, params)
     with pytest.raises(WorkerError, match=r"seed spawn \(19, \(1000035,\)\)") as info:
-        harness._map_runs([harness._spectra_run(params, 1), harness._spectra_run(params, 40)],
-                          2, 19)
+        harness._map_runs([(run, 1, params.N), (run, 40, params.N)], 2, 19)
     assert info.value.index == 10 ** 6 + 35
     assert isinstance(info.value.__cause__, EigenConvergenceError)
 
@@ -472,6 +478,8 @@ def test_experiment_registry_and_validation():
     (1.7, 2.5, "master_seed must be an integer >= 0, got 1.7"),
     (1, 2.5, "n_samples must be an integer >= 1, got 2.5"),
     (1, 0, "n_samples must be an integer >= 1, got 0"),
+    (True, 10, "master_seed must be an integer >= 0, got True"),
+    (1, True, "n_samples must be an integer >= 1, got True"),
 ])
 def test_run_mc_checks_seed_and_count_before_any_draw(monkeypatch, seed, n, message):
     def no_draw(params, rngs):
@@ -558,3 +566,33 @@ def test_run_mc_writes_one_csv_per_table(tmp_path):
     assert sorted(os.listdir(tmp_path)) == [
         "real-density_real_density_axis.csv", "real-density_real_density_radial.csv",
         "real-density_report.json"]
+
+
+def test_every_csv_carries_its_own_runs_parameters(tmp_path):
+    # each table's header holds the parameters of the sub-run that made it,
+    # not those of the experiment's first report
+    def header(experiment, seed, name):
+        with open(tmp_path / f"{experiment}_{name}.csv") as fh:
+            first = fh.readline()
+        assert first.startswith("# ")
+        got = json.loads(first[2:])
+        assert (got.pop("experiment"), got.pop("seed")) == (experiment, seed)
+        return got
+
+    reports = run_mc("real-count", 3, 4, workers=1, out_dir=str(tmp_path))
+    for L in (32, 0):
+        got = header("real-count", 3, f"real_count_hist_L{L}")
+        assert got["L"] == L
+        assert got == next(r.params for r in reports if r.params["L"] == L)
+
+    reports = run_mc("channel-ring", 4, 2, workers=1, out_dir=str(tmp_path))
+    for d, k in ((14, 10), (14, 14), (14, 18)):
+        got = header("channel-ring", 4, f"channel_spectra_d{d}_k{k}")
+        assert (got["k"], got["r_in"], got["r_out"]) == (k, *harness.predicted_ring(d, k))
+        assert got == next(r.params for r in reports if r.params["k"] == k)
+
+    reports = run_mc("hole-prob", 5, 10, workers=1, out_dir=str(tmp_path))
+    # one table covers all three radii, so its header names no radius s
+    got = header("hole-prob", 5, "hole_prob")
+    assert got == {"N": 20, "L": 2, "beta": 2, "n_samples": 10}
+    assert [r.params for r in reports] == [{**got, "s": s} for s in (0.5, 1.0, 1.5)]

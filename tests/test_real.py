@@ -605,6 +605,23 @@ def test_limit_functions_share_the_alpha_rule(alpha):
             call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: density_complex_ring_limit(math.nan, 0.5),
+    lambda: density_complex_ring_limit(math.nan, 0.0),
+    lambda: density_complex_ring_limit(np.array([0.5, math.inf]), 0.5),
+    lambda: density_real_ring_limit(math.nan, 0.0),
+    lambda: density_real_origin_limit(math.nan, 0.0),
+    lambda: density_real_origin_limit(np.array([0.3, math.nan]), 2.0),
+    lambda: density_complex_origin_limit(complex(math.nan, 1.0), 0.0),
+], ids=["ring", "ring-disk", "ring-inf", "real-ring", "real-origin", "real-origin-L2",
+        "complex-origin"])
+def test_limit_densities_refuse_a_non_finite_point(call):
+    # like density_edge_profile and every finite-N density: a NaN point is
+    # refused, not sent to the step's edge value or the a=0 limit of P(a, x)
+    with pytest.raises(ValueError):
+        call()
+
+
 def test_empty_point_set_correlations_are_one():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
