@@ -37,7 +37,7 @@ def _exit_numeric(exc):
 
 
 def _parse_grid(spec):
-    """Parse start:stop:count into an inclusive linspace."""
+    """Parse start:stop:count into an inclusive linspace of radii."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise click.UsageError(f"--grid wants start:stop:count, got {spec!r}")
@@ -50,6 +50,8 @@ def _parse_grid(spec):
         raise click.UsageError(f"--grid needs finite start and stop, got {spec!r}")
     if count < 1 or stop < start:
         raise click.UsageError("--grid needs stop >= start and count >= 1")
+    if start < 0:
+        raise click.UsageError(f"--grid radii must satisfy r >= 0, got {spec!r}")
     return np.linspace(start, stop, count)
 
 
@@ -183,6 +185,9 @@ def kernel(beta, n, l, points, out):
         raise click.UsageError("--points file holds no points")
     if pts_arr.shape[1] != 2:
         raise click.UsageError("--points file needs exactly two columns: re, im")
+    bad = np.flatnonzero(~np.isfinite(pts_arr).all(axis=1))
+    if bad.size:
+        raise click.UsageError(f"--points file {points}: point {bad[0] + 1} is not finite")
     zs = pts_arr[:, 0] + 1j * pts_arr[:, 1]
     e = re1.kernel_entries(zs[:, None], zs[None, :], params)
     m = len(zs)

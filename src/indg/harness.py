@@ -42,10 +42,16 @@ wall time so byte identity across worker counts can be asserted directly.
 
 A spectrum is the array linalg.eigenvalues returns, nothing else.  A chunk
 returns arrays with one row per index: eigenvalue rows, modulus rows
-(sampler-equiv) or eigenvalue rows plus a trace vector (channel-ring).  Each
-experiment reduces the concatenated rows with array expressions:
-np.histogram counts, real_mask sums, row minima, row sorts.  Each table an
-experiment returns carries the parameters of the sub-run that made it.
+(sampler-equiv) or eigenvalue rows plus a trace vector (channel-ring).
+
+Each experiment is two functions.  Its sampled side draws every sub-run in
+one _map_runs call and returns [(params, rows)], rows being the run's
+concatenated chunk rows.  Its check does all the rest at params: each check
+reduces the rows with array expressions (np.histogram counts, real_mask
+sums, row minima, row sorts, the KS distance), computes the analytic value
+and returns the comparisons and the tables, each with the sub-run's
+parameters; so a check at other params on the same rows is a mutation, with
+no new draw.  run_mc alone builds the ExperimentReports.
 """
 
 import csv
@@ -288,14 +294,6 @@ def _spectra_chunk(params, rngs):
     return eigenvalues(quadratised_draws(params, rngs), params.beta)
 
 
-def _spectra(ensembles, n_samples, workers, master_seed):
-    """n_samples quadratised spectra of each ensemble, one eigenvalue row each,
-    drawn in one _map_runs call: one concatenated array per ensemble."""
-    runs = _map_runs([(partial(_spectra_chunk, params), n_samples, params.N)
-                      for params in ensembles], workers, master_seed)
-    return [np.concatenate(rows) for rows in runs]
-
-
 def _sampler_pairs_chunk(params, rngs):
     """|eigenvalues| of a polar and then a quadratised draw from each stream.
 
@@ -327,154 +325,144 @@ def _channel_chunk(geometry, rngs):
 
 
 # --------------------------------------------------------------------------
-# experiments
+# sampled sides: sample(master_seed, n_samples, workers) -> [(params, rows)]
 
 
-def _exp_radial_density(master_seed, n_samples, workers):
-    params = EnsembleParams(N=128, L=32, beta=2)
-    scale = 1.0 / math.sqrt(params.N + params.L)
-    [ev] = _spectra([params], n_samples, workers, master_seed)
-    ok, rows = _histogram_check("r", np.abs(ev) * scale, _EDGES,
-                                _expected_radial_complex(_EDGES, params, n_samples))
-    meta = {"N": params.N, "L": params.L, "beta": 2, "n_samples": n_samples,
-            "bins": DEFAULT_BINS}
-    report = ExperimentReport.build(
-        "radial-density", meta, "bins_within_3sigma", ok, DEFAULT_BINS,
-        4.0, master_seed)
-    return [report], {"radial_histogram": (meta, rows)}
+def _spectra(ensembles, master_seed, n_samples, workers):
+    """n_samples quadratised spectra of each ensemble from one _map_runs call."""
+    runs = _map_runs([(partial(_spectra_chunk, params), n_samples, params.N)
+                      for params in ensembles], workers, master_seed)
+    return [(params, np.concatenate(rows)) for params, rows in zip(ensembles, runs)]
 
 
-def _exp_real_count(master_seed, n_samples, workers):
-    if n_samples < 2:
-        raise ValueError("real-count needs n_samples >= 2 for the standard error of its mean")
-    ensembles = (EnsembleParams(N=128, L=32, beta=1), EnsembleParams(N=128, L=0, beta=1))
-    reports, artifacts = [], {}
-    for params, ev in zip(ensembles, _spectra(ensembles, n_samples, workers, master_seed)):
-        counts = np.sum(real_mask(ev), axis=1).astype(float)
-        mean = float(counts.mean())
-        se = float(counts.std(ddof=1) / math.sqrt(len(counts)))
-        meta = {"N": params.N, "L": params.L, "beta": 1, "n_samples": n_samples,
-                "se": se}
-        quad = re1.expected_real_count(params)
-        asym = re1.real_count_leading_order(params.N, params.L)
-        reports.append(ExperimentReport.build(
-            "real-count", meta, "mean_vs_quadrature", mean, quad, 3.0 * se, master_seed))
-        reports.append(ExperimentReport.build(
-            "real-count", meta, "mean_vs_leading_order", mean, asym, 3.0 * se, master_seed))
-        values, freq = np.unique(counts.astype(int), return_counts=True)
-        artifacts[f"real_count_hist_L{int(params.L)}"] = (
-            meta, [("n_real", "frequency")] + list(zip(values.tolist(), freq.tolist())))
-    return reports, artifacts
-
-
-def _exp_hole_prob(master_seed, n_samples, workers):
-    params = EnsembleParams(N=20, L=2, beta=2)
-    radii = np.array([0.5, 1.0, 1.5])
-    [ev] = _spectra([params], n_samples, workers, master_seed)
-    rmin = np.min(np.abs(ev), axis=1)
-    fracs = (rmin[:, None] > radii).mean(axis=0)
-    table = [("s", "analytic", "empirical")] + list(
-        zip(radii.tolist(), cx.hole_probability(radii, params).tolist(), fracs.tolist()))
-    meta = {"N": params.N, "L": params.L, "beta": 2, "n_samples": n_samples}
-    reports = []
-    for s, a, frac in table[1:]:
-        tol = 3.0 * math.sqrt(a * (1.0 - a) / n_samples)
-        reports.append(ExperimentReport.build(
-            "hole-prob", {**meta, "s": s}, "empty_disk_fraction", frac, a, tol, master_seed))
-    return reports, {"hole_prob": (meta, table)}
-
-
-def _exp_sampler_equiv(master_seed, n_samples, workers):
+def _sampler_pairs(master_seed, n_samples, workers):
+    """sampler-equiv's polar and quadratised moduli at beta = 1 and 2."""
     ensembles = (EnsembleParams(N=50, L=10, beta=1), EnsembleParams(N=50, L=10, beta=2))
     runs = _map_runs([(partial(_sampler_pairs_chunk, params), n_samples, 2 * params.N)
                       for params in ensembles], workers, master_seed)
-    reports = []
-    for params, rows in zip(ensembles, runs):
-        mods = np.concatenate(rows)
-        t, p = ks_two_sample(np.sort(mods[:, 0], axis=None), np.sort(mods[:, 1], axis=None))
-        meta = {"N": params.N, "L": params.L, "beta": params.beta, "n_samples": n_samples,
-                "ks_statistic": t}
-        reports.append(ExperimentReport.build(
-            "sampler-equiv", meta, "ks_p_bound", p, 1.0, 0.999, master_seed))
-    return reports, {}
+    return [(params, np.concatenate(rows)) for params, rows in zip(ensembles, runs)]
 
 
-def _exp_channel_ring(master_seed, n_samples, workers):
+def _channel_maps(master_seed, n_samples, workers):
+    """channel-ring's spectra and squared norms at each geometry (d, k)."""
     geometries = ((14, 10), (14, 14), (14, 18))
     runs = _map_runs([(partial(_channel_chunk, (d, k)), n_samples, min(d, k) ** 2)
                       for d, k in geometries], workers, master_seed)
-    reports, artifacts = [], {}
-    for (d, k), results in zip(geometries, runs):
-        r_in, r_out = predicted_ring(d, k)
-        spectra, traces = (np.concatenate(part) for part in zip(*results))
-        # each map's leading eigenvalue (largest modulus) sits outside the ring
-        mod = np.sort(np.abs(spectra), axis=1)[:, :-1]
-        inside = ((mod >= r_in - 0.05) & (mod <= r_out + 0.05)).sum()
-        rows = [("realization", "re", "im")] + list(zip(
-            np.repeat(np.arange(n_samples), spectra.shape[1]).tolist(),
-            spectra.real.ravel().tolist(), spectra.imag.ravel().tolist()))
-        meta = {"d": d, "k": k, "n_samples": n_samples,
-                "r_in": r_in, "r_out": r_out, "delta": 0.05}
-        reports.append(ExperimentReport.build(
-            "channel-ring", meta, "annulus_containment", inside / mod.size, 1.0, 0.1,
-            master_seed))
-        want = d * (k + 1) / k
-        reports.append(ExperimentReport.build(
-            "channel-ring", meta, "mean_trace_norm", float(traces.mean()), want,
-            0.10 * want, master_seed))
-        artifacts[f"channel_spectra_d{d}_k{k}"] = (meta, rows)
-    return reports, artifacts
+    return [((d, k), tuple(np.concatenate(part) for part in zip(*results)))
+            for (d, k), results in zip(geometries, runs)]
 
 
-def _exp_edge_profile(master_seed, n_samples, workers):
-    # analytic-only check: finite-N density across both ring edges vs the
-    # erfc profile; n_samples plays no role
-    params = EnsembleParams(N=1000, L=500, beta=2)
-    r_out = math.sqrt(params.N + params.L)
-    r_in = math.sqrt(params.L)
+def _edge_params(master_seed, n_samples, workers):
+    """edge-profile's one parameter set; its check is analytic, so no rows."""
+    return [(EnsembleParams(N=1000, L=500, beta=2), None)]
+
+
+# --------------------------------------------------------------------------
+# checks: check(params, n_samples, rows) -> ([(meta, statistic, empirical, analytic,
+# tolerance)], {table: (meta, rows)}), meta being the parameters each carries
+
+
+def _meta(params, **extra):
+    """A sub-run's report and table parameters: the ensemble's and the check's own."""
+    return {"N": params.N, "L": params.L, "beta": params.beta, **extra}
+
+
+def _check_radial_density(params, n_samples, ev):
+    scale = 1.0 / math.sqrt(params.N + params.L)
+    ok, rows = _histogram_check("r", np.abs(ev) * scale, _EDGES,
+                                _expected_radial_complex(_EDGES, params, n_samples))
+    meta = _meta(params, n_samples=n_samples, bins=DEFAULT_BINS)
+    return ([(meta, "bins_within_3sigma", ok, DEFAULT_BINS, 4.0)],
+            {"radial_histogram": (meta, rows)})
+
+
+def _check_real_count(params, n_samples, ev):
+    counts = np.sum(real_mask(ev), axis=1).astype(float)
+    mean = float(counts.mean())
+    se = float(counts.std(ddof=1) / math.sqrt(len(counts)))
+    meta = _meta(params, n_samples=n_samples, se=se)
+    values, freq = np.unique(counts.astype(int), return_counts=True)
+    table = [("n_real", "frequency")] + list(zip(values.tolist(), freq.tolist()))
+    return ([(meta, "mean_vs_quadrature", mean, re1.expected_real_count(params), 3.0 * se),
+             (meta, "mean_vs_leading_order", mean,
+              re1.real_count_leading_order(params.N, params.L), 3.0 * se)],
+            {f"real_count_hist_L{int(params.L)}": (meta, table)})
+
+
+def _check_hole_prob(params, n_samples, ev):
+    radii = np.array([0.5, 1.0, 1.5])
+    fracs = (np.min(np.abs(ev), axis=1)[:, None] > radii).mean(axis=0)
+    table = [("s", "analytic", "empirical")] + list(
+        zip(radii.tolist(), cx.hole_probability(radii, params).tolist(), fracs.tolist()))
+    meta = _meta(params, n_samples=n_samples)
+    return ([({**meta, "s": s}, "empty_disk_fraction", frac, a,
+              3.0 * math.sqrt(a * (1.0 - a) / n_samples)) for s, a, frac in table[1:]],
+            {"hole_prob": (meta, table)})
+
+
+def _check_sampler_pairs(params, n_samples, mods):
+    t, p = ks_two_sample(np.sort(mods[:, 0], axis=None), np.sort(mods[:, 1], axis=None))
+    return [(_meta(params, n_samples=n_samples, ks_statistic=t), "ks_p_bound", p, 1.0, 0.999)], {}
+
+
+def _check_channel_ring(geometry, n_samples, rows):
+    d, k = geometry
+    spectra, traces = rows
+    r_in, r_out = predicted_ring(d, k)
+    # each map's leading eigenvalue (largest modulus) sits outside the ring
+    mod = np.sort(np.abs(spectra), axis=1)[:, :-1]
+    inside = ((mod >= r_in - 0.05) & (mod <= r_out + 0.05)).sum()
+    table = [("realization", "re", "im")] + list(zip(
+        np.repeat(np.arange(len(spectra)), spectra.shape[1]).tolist(),
+        spectra.real.ravel().tolist(), spectra.imag.ravel().tolist()))
+    meta = {"d": d, "k": k, "n_samples": n_samples, "r_in": r_in, "r_out": r_out, "delta": 0.05}
+    want = d * (k + 1) / k
+    return ([(meta, "annulus_containment", inside / mod.size, 1.0, 0.1),
+             (meta, "mean_trace_norm", float(traces.mean()), want, 0.10 * want)],
+            {f"channel_spectra_d{d}_k{k}": (meta, table)})
+
+
+def _check_edge_profile(params, n_samples, rows):
+    # analytic only: finite-N density across both ring edges vs the erfc profile
     xis = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
     want = cx.density_edge_profile(xis)
-    outer = cx.density(r_out + xis, params)
-    inner = cx.density(r_in - xis, params)
+    outer = cx.density(math.sqrt(params.N + params.L) + xis, params)
+    inner = cx.density(math.sqrt(params.L) - xis, params)
     dev = np.abs([outer - want, inner - want]).max()
-    rows = [("xi", "profile", "density_outer", "density_inner")] + list(
+    table = [("xi", "profile", "density_outer", "density_inner")] + list(
         zip(xis.tolist(), want.tolist(), outer.tolist(), inner.tolist()))
-    meta = {"N": params.N, "L": params.L, "beta": 2, "xi_grid": xis.tolist()}
-    report = ExperimentReport.build(
-        "edge-profile", meta, "max_profile_deviation", dev, 0.0, 0.01 / math.pi,
-        master_seed)
-    return [report], {"edge_profile": (meta, rows)}
+    meta = _meta(params, xi_grid=xis.tolist())
+    return ([(meta, "max_profile_deviation", dev, 0.0, 0.01 / math.pi)],
+            {"edge_profile": (meta, table)})
 
 
-def _exp_real_density(master_seed, n_samples, workers):
-    params = EnsembleParams(N=16, L=4, beta=1)
+def _check_real_density(params, n_samples, ev):
     scale = 1.0 / math.sqrt(params.N + params.L)
-    [ev] = _spectra([params], n_samples, workers, master_seed)
     line_edges = np.linspace(-1.2, 1.2, DEFAULT_BINS + 1)
     # dgeev returns each conjugate pair exactly, so both members are binned
     radial_ok, radial = _histogram_check("r", np.abs(ev) * scale, _EDGES,
                                          _expected_radial_real(_EDGES, params, n_samples))
     line_ok, line = _histogram_check("x", ev.real[real_mask(ev)] * scale, line_edges,
                                      _expected_line_real(line_edges, params, n_samples))
-    meta = {"N": params.N, "L": params.L, "beta": 1, "n_samples": n_samples,
-            "bins": DEFAULT_BINS}
-    reports = [
-        ExperimentReport.build("real-density", meta, "radial_bins_within_3sigma",
-                               radial_ok, DEFAULT_BINS, 4.0, master_seed),
-        ExperimentReport.build("real-density", meta, "real_axis_bins_within_3sigma",
-                               line_ok, DEFAULT_BINS, 4.0, master_seed),
-    ]
-    return reports, {"real_density_radial": (meta, radial), "real_density_axis": (meta, line)}
+    meta = _meta(params, n_samples=n_samples, bins=DEFAULT_BINS)
+    return ([(meta, "radial_bins_within_3sigma", radial_ok, DEFAULT_BINS, 4.0),
+             (meta, "real_axis_bins_within_3sigma", line_ok, DEFAULT_BINS, 4.0)],
+            {"real_density_radial": (meta, radial), "real_density_axis": (meta, line)})
 
 
+# name: (sample, check, least n_samples)
 EXPERIMENTS = {
-    "radial-density": _exp_radial_density,
-    "real-count": _exp_real_count,
-    "hole-prob": _exp_hole_prob,
-    "sampler-equiv": _exp_sampler_equiv,
-    "channel-ring": _exp_channel_ring,
-    "edge-profile": _exp_edge_profile,
-    "real-density": _exp_real_density,
+    "radial-density": (partial(_spectra, (EnsembleParams(N=128, L=32, beta=2),)),
+                       _check_radial_density, 1),
+    "real-count": (partial(_spectra, (EnsembleParams(N=128, L=32, beta=1),
+                                      EnsembleParams(N=128, L=0, beta=1))),
+                   _check_real_count, 2),
+    "hole-prob": (partial(_spectra, (EnsembleParams(N=20, L=2, beta=2),)), _check_hole_prob, 1),
+    "sampler-equiv": (_sampler_pairs, _check_sampler_pairs, 1),
+    "channel-ring": (_channel_maps, _check_channel_ring, 1),
+    "edge-profile": (_edge_params, _check_edge_profile, 1),
+    "real-density": (partial(_spectra, (EnsembleParams(N=16, L=4, beta=1),)),
+                     _check_real_density, 1),
 }
 
 
@@ -495,8 +483,10 @@ def run_mc(experiment, master_seed, n_samples, workers=None, out_dir=None):
     Deterministic given (experiment, master_seed, n_samples) for any worker
     count and any BLAS thread count of the caller: numpy's OpenBLAS runs at
     one thread inside (linalg._one_blas_thread).  master_seed must be an
-    integer >= 0, and n_samples and workers (when given) integers >= 1;
-    anything else raises ValueError before any sample is drawn.  With
+    integer >= 0, n_samples an integer >= the experiment's least (2 for
+    real-count, whose standard error needs two, else 1) and workers (when
+    given) an integer >= 1; anything else raises ValueError before any
+    sample is drawn.  With
     out_dir set, writes <experiment>_report.json plus one CSV per
     histogram/table artifact, each headed by the seed and the parameters of
     the sub-run that made it.
@@ -504,12 +494,17 @@ def run_mc(experiment, master_seed, n_samples, workers=None, out_dir=None):
     if experiment not in EXPERIMENTS:
         raise ValueError(
             f"unknown experiment {experiment!r}; choose from {sorted(EXPERIMENTS)}")
+    sample, check, least = EXPERIMENTS[experiment]
     master_seed = _require_integer("master_seed", master_seed, 0)
-    n_samples = _require_integer("n_samples", n_samples, 1)
+    n_samples = _require_integer("n_samples", n_samples, least)
     nworkers = resolve_workers(workers)
     t0 = time.perf_counter()
+    reports, artifacts = [], {}
     with _one_blas_thread():
-        reports, artifacts = EXPERIMENTS[experiment](master_seed, n_samples, nworkers)
+        for params, rows in sample(master_seed, n_samples, nworkers):
+            checks, tables = check(params, n_samples, rows)
+            reports += [ExperimentReport.build(experiment, *c, master_seed) for c in checks]
+            artifacts.update(tables)
     elapsed = time.perf_counter() - t0
     for r in reports:
         r.wall_time = elapsed
@@ -530,5 +525,4 @@ def _write_outputs(experiment, reports, artifacts, out_dir, master_seed):
                                 sort_keys=True)
         with open(os.path.join(out_dir, f"{experiment}_{name}.csv"), "w", newline="") as fh:
             fh.write(f"# {provenance}\n")
-            writer = csv.writer(fh)
-            writer.writerows(table)
+            csv.writer(fh).writerows(table)

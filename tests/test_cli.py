@@ -234,6 +234,18 @@ def test_kernel_rejects_bad_points(runner, tmp_path):
         assert res.exit_code == 2
         assert "--points file holds no points" in res.output
         assert not caught, [str(w.message) for w in caught]
+    # a non-finite coordinate is refused naming its point, before numpy
+    # could warn on 1j * inf or a special function could reject it unnamed
+    for bad in ("nan", "inf", "-inf"):
+        pts.write_text(f"# re,im\n0.1,0.2\n0.3,{bad}\n{bad},0.0\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = runner.invoke(main, ["kernel", "--beta", "1", "--n", "8", "--l", "0",
+                                       "--points", str(pts), "--out", str(tmp_path / "k.csv")])
+        assert res.exit_code == 2, res.output
+        assert f"--points file {pts}: point 2 is not finite" in res.output
+        assert not caught, [str(w.message) for w in caught]
+    assert not (tmp_path / "k.csv").exists()
 
 
 def test_holeprob_stdout_and_file(runner, tmp_path):
@@ -553,16 +565,16 @@ def test_sampling_commands_leave_scipy_special_unloaded(tmp_path):
 
 
 def test_density_negative_radius_names_the_radius_rule(runner, tmp_path):
-    # rho depends on |z| at beta=2, so its rows stand; beta=1 refuses the grid
-    res = runner.invoke(main, ["density", "--beta", "2", "--n", "4", "--l", "1",
-                               "--grid=-1:1:3", "--out", str(tmp_path / "d2.csv")])
-    assert res.exit_code == 0, res.output
-    assert len(read_csv(tmp_path / "d2.csv")) == 4
-    res = runner.invoke(main, ["density", "--beta", "1", "--n", "4", "--l", "1",
-                               "--grid=-1:1:3", "--out", str(tmp_path / "d1.csv")])
-    assert res.exit_code == 2, res.output
-    assert "radii must satisfy r >= 0" in res.output
-    assert "density_complex" not in res.output
+    # the grid is radial at both beta: a negative start is refused before any
+    # density call, so beta=2 writes no row r=-1 holding the density at |z|=1
+    for beta in ("1", "2"):
+        out = tmp_path / f"d{beta}.csv"
+        res = runner.invoke(main, ["density", "--beta", beta, "--n", "4", "--l", "1",
+                                   "--grid=-1:1:3", "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert "--grid radii must satisfy r >= 0, got '-1:1:3'" in res.output
+        assert "density_complex" not in res.output
+        assert not out.exists()
 
 
 def test_entry_point_usage_error_has_no_traceback(tmp_path):
@@ -587,7 +599,7 @@ def test_verify_real_count_one_sample_is_a_usage_error(tmp_path):
          "--seed", "3", "--samples", "1", "--out", str(tmp_path / "mc")],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert res.returncode == 2, res.stderr
-    assert "Error:" in res.stderr and "n_samples >= 2" in res.stderr
+    assert "Error:" in res.stderr and "n_samples must be an integer >= 2, got 1" in res.stderr
     assert "RuntimeWarning" not in res.stderr
     assert "NaN" not in res.stdout + res.stderr
     assert not (tmp_path / "mc").exists()

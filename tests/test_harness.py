@@ -343,9 +343,9 @@ def test_failing_stacked_eigvals_names_the_salted_index(monkeypatch):
 # sample counts that put a chunk boundary inside the run: hole-prob and
 # real-density stack 26 and 32 draws per chunk, sampler-equiv 6 pairs, the
 # N=128 ensembles 4 draws, and channel-ring 6, 3 and 3 maps, so its n=4
-# crosses a boundary at (14, 14) and (14, 18)
+# crosses a boundary at (14, 14) and (14, 18); edge-profile draws nothing
 _IDENTITY_N = {"radial-density": 5, "real-count": 5, "hole-prob": 50,
-               "sampler-equiv": 7, "channel-ring": 4, "real-density": 50}
+               "sampler-equiv": 7, "channel-ring": 4, "real-density": 50, "edge-profile": 1}
 
 
 @pytest.mark.parametrize("experiment", sorted(_IDENTITY_N))
@@ -358,6 +358,34 @@ def test_reports_and_artifacts_identical_across_workers(tmp_path, experiment):
         csvs = {f: (out / f).read_bytes() for f in sorted(os.listdir(out)) if f.endswith(".csv")}
         outputs.append((report_payload_bytes(reports), csvs))
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_run_mc_is_one_sample_then_each_runs_check(experiment):
+    # the reports are the sampled side's rows checked at each sub-run's own
+    # params, drawn here at another worker count
+    n = _IDENTITY_N[experiment]
+    sample, check, _ = EXPERIMENTS[experiment]
+    with linalg._one_blas_thread():
+        composed = [ExperimentReport.build(experiment, *c, 8)
+                    for params, rows in sample(8, n, 2) for c in check(params, n, rows)[0]]
+    assert report_payload_bytes(composed) == report_payload_bytes(
+        run_mc(experiment, 8, n, workers=1))
+
+
+def test_radial_check_at_other_params_needs_no_new_draw():
+    # criterion 1's draw, checked at perturbed (N, L): the check is a function
+    # of params alone, so the rescale sqrt(N + L) moves with the density
+    sample, check, _ = EXPERIMENTS["radial-density"]
+    with linalg._one_blas_thread():
+        [(params, ev)] = sample(101, 256, 2)
+
+    def bins(N, L):
+        [(_, _, ok, _, _)], _ = check(EnsembleParams(N=N, L=L, beta=2), 256, ev)
+        return ok
+
+    assert params == EnsembleParams(N=128, L=32, beta=2)
+    assert [bins(128, 32), bins(128, 31), bins(126, 32), bins(128, 30)] == [64, 64, 61, 55]
 
 
 def test_chunk_memory_stays_bounded():
@@ -469,7 +497,7 @@ def test_experiment_registry_and_validation():
         run_mc("nope", 0, 1)
     with pytest.raises(ValueError):
         run_mc("hole-prob", 0, 0)
-    with pytest.raises(ValueError, match="n_samples >= 2"):
+    with pytest.raises(ValueError, match="n_samples must be an integer >= 2, got 1"):
         run_mc("real-count", 0, 1)  # one sample has no standard error
 
 
@@ -498,13 +526,6 @@ def test_hole_prob_deterministic_across_workers():
     # a different seed must change the empirical side
     r_other = run_mc("hole-prob", 124, 200, workers=1)
     assert report_payload_bytes(r_other) != report_payload_bytes(r1)
-
-
-def test_real_count_deterministic_across_workers():
-    # both halves, including the L=0 streams at spawn indices 10**6 + i
-    r1 = run_mc("real-count", 41, 12, workers=1)
-    r2 = run_mc("real-count", 41, 12, workers=2)
-    assert report_payload_bytes(r1) == report_payload_bytes(r2)
 
 
 def test_edge_profile_experiment_passes():
