@@ -528,6 +528,13 @@ def test_hole_prob_deterministic_across_workers():
     assert report_payload_bytes(r_other) != report_payload_bytes(r1)
 
 
+def test_real_count_deterministic_across_workers():
+    # both halves, including the L=0 streams at spawn indices 10**6 + i
+    r1 = run_mc("real-count", 41, 12, workers=1)
+    r2 = run_mc("real-count", 41, 12, workers=2)
+    assert report_payload_bytes(r1) == report_payload_bytes(r2)
+
+
 def test_edge_profile_experiment_passes():
     r = run_mc("edge-profile", 0, 1)
     assert len(r) == 1
