@@ -83,7 +83,7 @@ def main():
 @click.option("--n", "n", type=int, required=True, help="matrix dimension N")
 @click.option("--l", "l", type=int, required=True, help="rectangularity index L = M - N")
 @click.option("--count", type=int, default=1, show_default=True)
-@click.option("--seed", type=int, required=True)
+@click.option("--seed", type=click.IntRange(min=0), required=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True,
               help="npz archive: matrices stacked [count, N, N] plus metadata")
 def sample(beta, n, l, count, seed, out):
@@ -248,7 +248,7 @@ def verify(experiment, seed, samples, workers, out_dir):
 @click.option("--d", "d", type=int, required=True, help="input dimension")
 @click.option("--k", "k", type=int, required=True, help="environment/output dimension")
 @click.option("--realizations", type=int, default=8, show_default=True)
-@click.option("--seed", type=int, required=True)
+@click.option("--seed", type=click.IntRange(min=0), required=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 def channel(d, k, realizations, seed, out):
     """Quadratised spectra of random complementary maps, with predicted radii."""

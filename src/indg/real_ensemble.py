@@ -78,6 +78,7 @@ __all__ = [
     "density_complex_origin_limit",
     "expected_real_count",
     "real_count_leading_order",
+    "real_count_next_order",
 ]
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -121,14 +122,15 @@ def _log_psi(z):
     return mag, -x * y
 
 
-def _log_dress(z, p):
+def _log_dress(z, p, lpsi):
     """log of the per-point dressing psi(z) * z^p, elementwise in complex z.
 
-    On the real axis the power is |x|^p (no sign), which is what the real
-    inner product and parity demand; off it the principal power applies.
-    The real part is -inf at z=0 for p>0.
+    lpsi is _log_psi(z), taken once per point by the caller and shared by
+    every power it dresses that point with.  On the real axis the power is
+    |x|^p (no sign), which is what the real inner product and parity demand;
+    off it the principal power applies.  The real part is -inf at z=0 for p>0.
     """
-    mag, phase = _log_psi(z)
+    mag, phase = lpsi
     if p != 0:
         with np.errstate(divide="ignore"):
             mag = mag + p * np.log(np.abs(z))
@@ -148,21 +150,21 @@ def _s_series(zeta, ld, N, L):
     return np.exp(ld + log_exp_series(zeta, N - 1, L) - _HALF_LOG_2PI)
 
 
-def _t(x, z, L):
-    """t(x, z) elementwise, complex-valued; see helper_t."""
+def _t(x, ld, L):
+    """t(x, z) elementwise, complex-valued, from ld = _log_dress(z, L, .); see helper_t."""
     if L == 0:
-        return np.zeros(np.broadcast(x, z).shape, dtype=complex)
+        return np.zeros(np.broadcast(x, ld).shape, dtype=complex)
     log_x = _log_half_moment(L - 1.0, x, tail=True) - log_gamma(L)
-    return np.exp(log_x - _HALF_LOG_2PI + _log_dress(z, L))
+    return np.exp(log_x - _HALF_LOG_2PI + ld)
 
 
-def _r(x, z, N, L):
-    """r_N(x, z) elementwise, complex-valued; see helper_rN."""
+def _r(x, z, ld, N, L):
+    """r_N(x, z) elementwise, complex-valued, from ld = _log_dress(z, N+L-1, .); see helper_rN."""
     log_x = (_log_half_moment(N + L - 2.0, x, tail=False)
              - log_gamma(N + L - 1.0) - _HALF_LOG_2PI)
     # |z|^L z^{N-1} on the real axis: N even makes z^{N-1} carry sgn(z)
     sign = np.sign(x) * np.where(z.imag == 0.0, np.sign(z.real), 1.0)
-    return sign * np.exp(log_x + _log_dress(z, N + L - 1.0))
+    return sign * np.exp(log_x + ld)
 
 
 def helper_sN(z, w, params: EnsembleParams):
@@ -175,7 +177,7 @@ def helper_sN(z, w, params: EnsembleParams):
     """
     _require_real_even(params)
     a, b = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
-    ld = _log_dress(a, params.L) + _log_dress(b, params.L)
+    ld = _log_dress(a, params.L, _log_psi(a)) + _log_dress(b, params.L, _log_psi(b))
     return _finish(_s_series(a * b, ld, params.N, params.L), z, w)
 
 
@@ -189,7 +191,8 @@ def helper_t(x, z, params: EnsembleParams):
     is real.
     """
     _require_real_even(params)
-    val = _t(np.asarray(x, dtype=float), np.asarray(z, dtype=complex), params.L)
+    z = np.asarray(z, dtype=complex)
+    val = _t(np.asarray(x, dtype=float), _log_dress(z, params.L, _log_psi(z)), params.L)
     return _finish(val, z)
 
 
@@ -204,7 +207,9 @@ def helper_rN(x, z, params: EnsembleParams):
     Broadcast over array arguments; real-valued when z is real.
     """
     _require_real_even(params)
-    val = _r(np.asarray(x, dtype=float), np.asarray(z, dtype=complex), params.N, params.L)
+    N, L = params.N, params.L
+    z = np.asarray(z, dtype=complex)
+    val = _r(np.asarray(x, dtype=float), z, _log_dress(z, N + L - 1.0, _log_psi(z)), N, L)
     return _finish(val, z)
 
 
@@ -238,35 +243,34 @@ def _tau_odd_logmag(j, x, L: float):
     return np.where(j == 0, lq, mono)
 
 
-def _is_real_real(x, ix, y, iy, params: EnsembleParams):
+def _is_real_real(x, y, params: EnsembleParams):
     """IS entry for real arguments, via the exact antiderivative sum.
 
-    One value per pair (x[ix[k]], y[iy[k]]).  The antiderivatives are
-    evaluated once per point used and sum index j; the pair sums run with j
-    on a trailing axis, in row blocks of at most _IS_BLOCK_BYTES per
-    (pairs, N/2) array, so memory does not grow with the number of pairs.
-    Each row's sum is scaled by its own largest term and does not depend on
-    the block.
+    One value per pair (x[k], y[k]).  The antiderivatives are tabulated once
+    per distinct real value of x and y together and sum index j; values are
+    distinct by their bits, so +0.0 and -0.0 keep their own signs in the odd
+    tau_{2j}.  The pair sums run with j on a trailing axis, in row blocks of
+    at most _IS_BLOCK_BYTES per (pairs, N/2) array, so memory does not grow
+    with the number of pairs.  Each row's sum is scaled by its own largest
+    term and does not depend on the block.
     """
     N, L = params.N, params.L
     j = np.arange(N // 2, dtype=float)
-    ux, ix = np.unique(ix, return_inverse=True)
-    uy, iy = np.unique(iy, return_inverse=True)
-    x, y = x[ux, None], y[uy, None]
+    bits, idx = np.unique(np.concatenate([x, y]).view(np.int64), return_inverse=True)
+    v = bits.view(float)[:, None]
+    ix, iy = idx[:x.size], idx[x.size:]
     lr = -_HALF_LOG_2PI - log_gamma(L + 2.0 * j + 1.0)
-    se_x, le_x = _tau_even_logmag(j, x, L)
-    lo_x = _tau_odd_logmag(j, x, L)
-    se_y, le_y = _tau_even_logmag(j, y, L)
-    lo_y = _tau_odd_logmag(j, y, L)
+    se, le = _tau_even_logmag(j, v, L)
+    lo = _tau_odd_logmag(j, v, L)
     rows = max(1, _IS_BLOCK_BYTES // (8 * j.size))
     out = np.empty(ix.size)
     for i in range(0, ix.size, rows):
         bx, by = ix[i:i + rows], iy[i:i + rows]
-        l1 = le_x[bx] + lo_y[by] + lr
-        l2 = lo_x[bx] + le_y[by] + lr
+        l1 = le[bx] + lo[by] + lr
+        l2 = lo[bx] + le[by] + lr
         peak = np.maximum(l1.max(axis=-1), l2.max(axis=-1))[..., None]
         peak = np.where(np.isfinite(peak), peak, 0.0)
-        terms = se_x[bx] * np.exp(l1 - peak) - se_y[by] * np.exp(l2 - peak)
+        terms = se[bx] * np.exp(l1 - peak) - se[by] * np.exp(l2 - peak)
         out[i:i + rows] = np.sum(terms, axis=-1) * np.exp(peak[..., 0])
     return out
 
@@ -303,47 +307,49 @@ def _block_entries(a, b, s, sc, u_ba, u_ab, is_rr):
     b_real = b.imag == 0.0
     rr = a_real & b_real
     DS = (b - a) * s
-    S = np.where(b_real, s + u_ba, 1j * (b.conj() - a) * sc)
-    IS = np.select(
-        [rr, a_real, b_real],
-        [is_rr, -1j * (s + u_ab).conj(), 1j * (s + u_ba).conj()],
-        (a.conj() - b.conj()) * s.conj(),
-    )
+    s_ba = s + u_ba
+    S = np.where(b_real, s_ba, 1j * (b.conj() - a) * sc)
+    IS = np.where(rr, is_rr, np.where(a_real, -1j * (s + u_ab).conj(),
+                                      np.where(b_real, 1j * s_ba.conj(),
+                                               (a.conj() - b.conj()) * s.conj())))
     eps = np.where(rr, 0.5 * np.sign(a.real - b.real), 0.0)
     DS, S, IS = (np.where(rr, v.real, v) for v in (DS, S, IS))
     return RealKernelEntries(*(_as_scalar(v) for v in (DS, S, IS, eps)))
 
 
-def _point_index(z, mask):
-    """Flat index into z of each element of z broadcast to mask.shape where mask holds."""
-    return np.broadcast_to(np.arange(z.size).reshape(z.shape), mask.shape)[mask]
-
-
 def _kernel_arrays(a, b, params: EnsembleParams) -> RealKernelEntries:
     """Array core of kernel_entries: entries over broadcast point arrays a, b.
 
-    The terms that only some flavours use are skipped when no pair needs
-    them, which keeps a scalar call to the work of its own flavour.
+    Each term is taken once per call: log psi once per point, and from it
+    the dressings at the powers L and N+L-1; u(Re b, a) only when some b is
+    real and u(Re a, b) only when some pair has a real and b complex (the
+    only flavours that read them); the IS antiderivative tables once per
+    distinct real value of a and b together, in _is_real_real.  So a scalar
+    call does the work of its own flavour alone.
     """
     _require_real_even(params)
     N, L = params.N, params.L
     a, b = _upper(a), _upper(b)
     a_real, b_real = a.imag == 0.0, b.imag == 0.0
-    lda, ldb = _log_dress(a, L), _log_dress(b, L)
+    psi_a, psi_b = _log_psi(a), _log_psi(b)
+    lda, ldb = _log_dress(a, L, psi_a), _log_dress(b, L, psi_b)
     if b_real.all():
         s = sc = _s_series(a * b, lda + ldb, N, L)
     else:
         # |ab| = |a conj(b)|, so the stack keeps the rescale cadence of either half
         s, sc = _s_series(np.stack([a * b, a * b.conj()]),
                           np.stack([lda + ldb, lda + ldb.conj()]), N, L)
-    u_ba = _r(b.real, a, N, L) + _t(b.real, a, L) if b_real.any() else 0.0
-    u_ab = _r(a.real, b, N, L) + _t(a.real, b, L) if a_real.any() else 0.0
+    u_ba = u_ab = 0.0
+    if b_real.any():
+        u_ba = _r(b.real, a, _log_dress(a, N + L - 1.0, psi_a), N, L) + _t(b.real, lda, L)
+    if (a_real & ~b_real).any():
+        u_ab = _r(a.real, b, _log_dress(b, N + L - 1.0, psi_b), N, L) + _t(a.real, ldb, L)
     rr = a_real & b_real
     is_rr = 0.0
     if rr.any():
         is_rr = np.zeros(rr.shape)
-        is_rr[rr] = _is_real_real(a.real.ravel(), _point_index(a, rr),
-                                  b.real.ravel(), _point_index(b, rr), params)
+        is_rr[rr] = _is_real_real(np.broadcast_to(a.real, rr.shape)[rr],
+                                  np.broadcast_to(b.real, rr.shape)[rr], params)
     return _block_entries(a, b, s, sc, u_ba, u_ab, is_rr)
 
 
@@ -425,7 +431,10 @@ def density_real(x, params: EnsembleParams):
     x = np.asarray(x, dtype=float)
     u = x * x
     bulk = (_reg_p(L, u) - lower_reg_gamma(L + N - 1.0, u)) / math.sqrt(2.0 * math.pi)
-    val = bulk + helper_t(x, x, params) + helper_rN(x, x, params)
+    lpsi = _log_psi(x)
+    t = _t(x, _log_dress(x, L, lpsi), L).real
+    r = _r(x, x, _log_dress(x, N + L - 1.0, lpsi), N, L).real
+    val = bulk + t + r
     return _as_scalar(val)
 
 
@@ -523,7 +532,7 @@ def log_jpdf_real_partial(reals, complexes, params: EnsembleParams):
         out = out + _log_gap_sum(lam)
     # point weights: the dressing psi(x)|x|^L per real, |psi(z) z^L|^2 per pair;
     # a zero weight or a coincidence gives -inf through the sums
-    weight = _log_dress(p, L).real
+    weight = _log_dress(p, L, _log_psi(p)).real
     return _as_scalar(out + np.sum(weight[..., :k], -1) + 2.0 * np.sum(weight[..., k:], -1))
 
 
@@ -609,7 +618,8 @@ def skew_inner(f, g, L: float) -> float:
 
 def _limit_g(a, b):
     """Limit of s_N at unit local scale: e^{ab} times the finite-N dressings."""
-    return np.exp(a * b + _log_dress(a, 0) + _log_dress(b, 0) - _HALF_LOG_2PI)
+    return np.exp(a * b + _log_dress(a, 0, _log_psi(a)) + _log_dress(b, 0, _log_psi(b))
+                  - _HALF_LOG_2PI)
 
 
 def limit_kernel_entries(a, b, u: float | None = None) -> RealKernelEntries:
@@ -709,7 +719,8 @@ def density_real_origin_limit(x, L: float):
     not depend on N; reduces to the constant 1/sqrt(2 pi) at L=0.
     """
     x = np.asarray(x, dtype=float)
-    val = _reg_p(L, x * x) / math.sqrt(2.0 * math.pi) + _t(x, x, L).real
+    t = _t(x, _log_dress(x, L, _log_psi(x)), L).real
+    val = _reg_p(L, x * x) / math.sqrt(2.0 * math.pi) + t
     return _as_scalar(val)
 
 
@@ -737,3 +748,15 @@ def expected_real_count(params: EnsembleParams) -> float:
 def real_count_leading_order(N: int, L: float) -> float:
     """Leading-order mean real-eigenvalue count sqrt(2/pi) (sqrt(N+L) - sqrt(L))."""
     return math.sqrt(2.0 / math.pi) * (math.sqrt(N + L) - math.sqrt(L))
+
+
+def real_count_next_order(N: int, L: float) -> float:
+    """Mean real-eigenvalue count to order 1: real_count_leading_order + 1/2 (L=0) or + 1 (L>0).
+
+    Each point where a ring edge crosses the real axis adds 1/4, the integral
+    of density_real_edge_profile minus its leading-order step: two crossings
+    (+-sqrt(N)) at L=0, four (+-sqrt(L), +-sqrt(N+L)) at L>0.  The exact count
+    minus it is O(N^{-1/2}) at L=0 and along L proportional to N; at a fixed
+    L>0 the inner-edge error is O(L^{-1/2}) instead.
+    """
+    return real_count_leading_order(N, L) + (1.0 if L > 0 else 0.5)

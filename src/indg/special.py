@@ -56,11 +56,11 @@ def _scipy_special():
 def _check_gamma_args(a, x):
     a = np.asarray(a, dtype=float)
     x = np.asarray(x, dtype=float)
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(x))):
+    if not (np.isfinite(a).all() and np.isfinite(x).all()):
         raise ValueError("incomplete gamma arguments must be finite")
-    if np.any(a <= 0):
+    if (a <= 0).any():
         raise ValueError("shape parameter a must be > 0")
-    if np.any(x < 0):
+    if (x < 0).any():
         raise ValueError("argument x must be >= 0")
     return a, x
 
@@ -86,7 +86,7 @@ def upper_reg_gamma(a, x):
 def erfc(x):
     """Complementary error function."""
     x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("erfc argument must be finite")
     return _scipy_special().erfc(x)
 
@@ -98,7 +98,7 @@ def erfcx(x):
     combination overflows if formed naively.
     """
     x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("erfcx argument must be finite")
     return _scipy_special().erfcx(x)
 
@@ -106,7 +106,7 @@ def erfcx(x):
 def log_gamma(a):
     """log Gamma(a) for a > 0."""
     a = np.asarray(a, dtype=float)
-    if not np.all(np.isfinite(a)) or np.any(a <= 0):
+    if not np.isfinite(a).all() or (a <= 0).any():
         raise ValueError("log_gamma requires finite a > 0")
     return _scipy_special().gammaln(a)
 
@@ -187,13 +187,15 @@ def _horner_elements(re_z, im_z, n, L, every):
     numpy uses, and the 1 is added as complex(one, -0.0), which leaves the
     imaginary part (and the sign of a zero) as numpy's real-part add does.
     """
-    scale = [complex(1.0 / (L + j)) for j in range(n - 1, 0, -1)]
+    scale = (1.0 / (L + np.arange(n - 1, 0, -1))).astype(complex).tolist()
     hs, es = [], []
     for re, im in zip(re_z, im_z):
         h, e, one = 1 + 0j, 0, complex(1.0, -0.0)
-        for step, c in enumerate(scale, 1):
-            h = (h * re + h * im) * c + one
-            if step % every == 0:
+        # runs of `every` steps, each full run followed by a rescaling
+        for start in range(0, len(scale), every):
+            for c in scale[start:start + every]:
+                h = (h * re + h * im) * c + one
+            if start + every <= len(scale):
                 # max may drop a nan that np.maximum keeps, but a nan h stays nan
                 k = math.frexp(max(abs(h.real), abs(h.imag), one.real))[1]
                 e += k

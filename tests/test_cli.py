@@ -616,3 +616,14 @@ def test_holeprob_nonfinite_smax_warns_nothing(tmp_path, smax):
     assert res.returncode == 2, res.stderr
     assert "Error:" in res.stderr and "hole radius must be a finite real >= 0" in res.stderr
     assert "RuntimeWarning" not in res.stderr
+
+
+@pytest.mark.parametrize("command", [
+    ["sample", "--beta", "2", "--n", "2", "--l", "0"],
+    ["channel", "--d", "2", "--k", "2"],
+])
+def test_negative_seed_is_a_usage_error_naming_the_flag(runner, tmp_path, command):
+    res = runner.invoke(main, command + ["--seed", "-1", "--out", str(tmp_path / "x")])
+    assert res.exit_code == 2, res.output
+    assert "'--seed'" in res.output
+    assert not (tmp_path / "x").exists()

@@ -41,6 +41,7 @@ from indg.real_ensemble import (
     limit_kernels,
     log_jpdf_real_partial,
     real_count_leading_order,
+    real_count_next_order,
     skew_inner,
     skew_poly,
     skew_poly_norm,
@@ -205,6 +206,63 @@ def test_kernel_entries_broadcast_equals_scalar_calls(N):
                 for f in ("DS", "S", "IS", "eps"):
                     want, got = getattr(e, f), getattr(grid, f)[i, j]
                     assert abs(got - want) <= 1e-13 * abs(want), (N, L, i, j, f, got, want)
+
+
+def _bits(v):
+    return np.complex128(v).tobytes()
+
+
+def test_kernel_entries_scalar_calls_equal_the_broadcast_bit_for_bit():
+    # 6 real and 6 complex points at N=128, L=32: +0.0 and -0.0, a repeated
+    # value, a lower-half point, and on the rectangular grid a point that sits
+    # on both sides.  Every real/real entry, every eps and the entries built
+    # from u(x, w) keep their bits.  The rest end in a product of two complex
+    # numbers, which numpy fuses (FMA) on arrays on AVX-512 hosts but not on
+    # its scalars, so there they may differ in the last bit.
+    params = P1(128, 32.0)
+    reals = np.array([0.0, -0.0, 3.7, 3.7, -8.1, 11.2])
+    cplx = np.array([0.4 + 0.3j, 2.5 - 1.1j, -6.0 + 0.8j, 9.3 + 2.2j, -1.2 + 4.0j, 0.1 + 7.5j])
+    pts = np.concatenate([reals + 0j, cplx])
+    exact = {(True, True): ("DS", "S", "IS", "eps"), (True, False): ("IS", "eps"),
+             (False, True): ("S", "eps"), (False, False): ("eps",)}
+    for ia, ib in ((range(12), range(12)), ([0, 3, 5, 6, 8], [1, 3, 4, 7, 9, 11])):
+        grid = kernel_entries(pts[ia, None], pts[None, ib], params)
+        for i, k in enumerate(ia):
+            for j, m in enumerate(ib):
+                e = kernel_entries(pts[k], pts[m], params)
+                for f in ("DS", "S", "IS", "eps"):
+                    got, want = getattr(grid, f)[i, j], getattr(e, f)
+                    if f in exact[k < 6, m < 6]:
+                        assert _bits(got) == _bits(want), (k, m, f, got, want)
+                    else:
+                        assert abs(got - want) <= 4e-16 * abs(want), (k, m, f, got, want)
+
+
+def _counting(monkeypatch, name, record):
+    fn = getattr(real_ensemble, name)
+
+    def wrapped(*args):
+        record.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(real_ensemble, name, wrapped)
+
+
+def test_real_real_scalar_call_evaluates_r_and_t_once(monkeypatch):
+    calls = {"_r": [], "_t": [], "_log_psi": []}
+    for name, record in calls.items():
+        _counting(monkeypatch, name, record)
+    kernel_entries(1.3, -2.1, P1(128, 32.0))
+    assert {k: len(v) for k, v in calls.items()} == {"_r": 1, "_t": 1, "_log_psi": 2}
+
+
+def test_correlation_builds_is_tables_once_per_distinct_real_value(monkeypatch):
+    rows = []
+    for name in ("_tau_even_logmag", "_tau_odd_logmag"):
+        _counting(monkeypatch, name, rows)
+    reals = [-2.3, -0.0, 0.7, 1.9]
+    correlations_pfaffian(reals, [0.5 + 0.6j, -1.0 + 1.5j], P1(16, 2.0))
+    assert [np.shape(x)[0] for _, x, _ in rows] == [len(reals), len(reals)]
 
 
 def test_kernel_entries_memory_does_not_grow_with_pairs():
@@ -379,6 +437,24 @@ def test_real_count_leading_order():
     exact = expected_real_count(P1(16, 0.0))
     assert abs(exact - 3.616466) < 1e-5
     assert abs(exact - math.sqrt(32.0 / math.pi)) > 0.4
+
+
+@pytest.mark.parametrize("quarter", [False, True])
+def test_real_count_next_order_residual_is_order_inverse_sqrt_n(quarter):
+    # each ring-edge crossing of the real axis adds 1/4 to the leading order;
+    # what is left, times sqrt(N), is constant: the Edelman-Kostlan-Shub
+    # coefficient -(3/8) sqrt(2/pi) at L=0, about -0.47 along L = N/4
+    res = []
+    for N in (16, 64, 256, 1000):
+        L = N / 4.0 if quarter else 0.0
+        exact = expected_real_count(P1(N, L))
+        res.append((exact - real_count_next_order(N, L)) * math.sqrt(N))
+    lo, hi = (-0.482, -0.467) if quarter else (-0.3004, -0.2992)
+    assert all(lo < v < hi for v in res), res
+    if not quarter:
+        assert abs(res[-1] + 0.375 * math.sqrt(2.0 / math.pi)) < 5e-5, res
+    assert real_count_next_order(128, 0.0) == real_count_leading_order(128, 0.0) + 0.5
+    assert real_count_next_order(128, 0.5) == real_count_leading_order(128, 0.5) + 1.0
 
 
 # ---------------------------------------------------------------------------
