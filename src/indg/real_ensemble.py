@@ -9,16 +9,18 @@ for the real/real IS entry, an exact finite sum over one-dimensional
 incomplete-gamma antiderivatives.
 
 The kernel layer is array-native: the helpers and kernel_entries broadcast
-over point arrays, the special functions are evaluated once per point (the
-IS antiderivatives once per real point and sum index j), and only the s_N
-series (the truncated exponential series of special.log_exp_series, shared
-with the complex ensemble) and the IS sum run per point pair.  s(a, b) and
-s(a, conj b) share one series pass on the stacked [ab, a conj(b)], and the
-IS sum runs on the real/real pairs only, in row blocks of bounded size.  A
-correlation therefore evaluates all of its point pairs in one pass.  Every
-incomplete-gamma term on the real axis (t, r_N, the IS antiderivatives and
-the skew inner product's tail integrals) is the one half-line Gaussian
-moment of _log_half_moment.
+over point arrays, and a kernel call takes each term once.  log psi is taken
+once per point of each argument and gives the dressings at the powers L and
+N+L-1; the correction terms u = r_N + t only for the flavours that read
+them; the IS antiderivatives once per distinct real value of both arguments
+together and sum index j.  Only the s_N series (the truncated exponential
+series of special.log_exp_series, shared with the complex ensemble) and the
+IS sum run per point pair.  s(a, b) and s(a, conj b) share one series pass
+on the stacked [ab, a conj(b)], and the IS sum runs on the real/real pairs
+only, in row blocks of bounded size.  A correlation therefore evaluates all
+of its point pairs in one pass.  Every incomplete-gamma term on the real
+axis (t, r_N, the IS antiderivatives and the skew inner product's tail
+integrals) is the one half-line Gaussian moment of _log_half_moment.
 
 The module also provides the closed-form real/complex densities, the partial
 joint eigenvalue density, skew-orthogonal polynomial utilities with a
