@@ -23,8 +23,8 @@ import math
 
 import numpy as np
 
-from .special import (_scipy_special, erfc, log_exp_series, log_gamma, lower_reg_gamma,
-                      upper_reg_gamma)
+from .special import (_last_term, _scipy_special, erfc, log_exp_series, log_gamma,
+                      lower_reg_gamma, upper_reg_gamma)
 from .sampling import EnsembleParams
 
 __all__ = [
@@ -176,8 +176,8 @@ def origin_kernel(z, w, L):
 
     (1/pi) e^{-(|z|^2+|w|^2)/2} sum_{j>=0} (z w~)^{j+L} / Gamma(L+j+1),
     the pointwise large-N limit of the finite-N kernel, which it evaluates
-    at N = 60 terms past L+j = 2|z w~|: each later term is below half the
-    one before, so the dropped tail is below 2^-59 of the largest.  Equals
+    at N = 1 + log_exp_series' last significant index at |z w~|, so the
+    dropped tail is below 2^-65 of the largest term.  Equals
     (1/pi) gamma(L, z w~)/Gamma(L) times e^{-(|z|^2+|w|^2)/2 + z w~}; the
     Gaussian dressing is 1 on the diagonal but is required off it for the
     determinants of this kernel to reproduce the limiting correlations
@@ -187,7 +187,7 @@ def origin_kernel(z, w, L):
     if L < 1:
         raise ValueError("origin regime requires fixed L >= 1")
     z, w = complex(z), complex(w)
-    n = math.ceil(max(2.0 * abs(z * w.conjugate()) - L, 0.0)) + 60
+    n = _last_term(abs(z * w.conjugate()), L) + 1
     return kernel_KN(z, w, EnsembleParams(N=n, L=L, beta=2))
 
 

@@ -113,30 +113,32 @@ def _log_half_moment(m, x, tail):
 
 
 def _log_psi(z):
-    """Real and imaginary parts of log psi(z), elementwise in complex z.
+    """log psi(z) and log z per point, elementwise in complex z.
 
-    psi(z) = exp(-z^2/2) * sqrt(erfc(sqrt(2)*|Im z|)), the Gaussian weight
-    with the half-plane erfc dressing; the erfc is taken in its erfcx form,
-    stable for large |Im z|.
+    Returns the real and imaginary parts of log psi(z), then log|z| (-inf at
+    z=0) and arg z, taken as 0 on the real axis.  psi(z) = exp(-z^2/2) *
+    sqrt(erfc(sqrt(2)*|Im z|)), the Gaussian weight with the half-plane erfc
+    dressing; the erfc is taken in its erfcx form, stable for large |Im z|.
     """
     x, y = z.real, z.imag
     mag = -0.5 * (x * x + y * y) + 0.5 * np.log(erfcx(math.sqrt(2.0) * np.abs(y)))
-    return mag, -x * y
+    with np.errstate(divide="ignore"):
+        log_abs = np.log(np.abs(z))
+    return mag, -x * y, log_abs, np.where(y == 0.0, 0.0, np.angle(z))
 
 
-def _log_dress(z, p, lpsi):
-    """log of the per-point dressing psi(z) * z^p, elementwise in complex z.
+def _log_dress(p, lpsi):
+    """log of the per-point dressing psi(z) * z^p, from lpsi = _log_psi(z).
 
-    lpsi is _log_psi(z), taken once per point by the caller and shared by
-    every power it dresses that point with.  On the real axis the power is
-    |x|^p (no sign), which is what the real inner product and parity demand;
-    off it the principal power applies.  The real part is -inf at z=0 for p>0.
+    lpsi is taken once per point by the caller and shared by every power it
+    dresses that point with.  On the real axis the power is |x|^p (no sign),
+    which is what the real inner product and parity demand; off it the
+    principal power applies.  The real part is -inf at z=0 for p>0.
     """
-    mag, phase = lpsi
+    mag, phase, log_abs, arg = lpsi
     if p != 0:
-        with np.errstate(divide="ignore"):
-            mag = mag + p * np.log(np.abs(z))
-        phase = phase + p * np.where(z.imag == 0.0, 0.0, np.angle(z))
+        mag = mag + p * log_abs
+        phase = phase + p * arg
     return mag + 1j * phase
 
 
@@ -153,7 +155,7 @@ def _s_series(zeta, ld, N, L):
 
 
 def _t(x, ld, L):
-    """t(x, z) elementwise, complex-valued, from ld = _log_dress(z, L, .); see helper_t."""
+    """t(x, z) elementwise, complex-valued, from ld = _log_dress(L, .); see helper_t."""
     if L == 0:
         return np.zeros(np.broadcast(x, ld).shape, dtype=complex)
     log_x = _log_half_moment(L - 1.0, x, tail=True) - log_gamma(L)
@@ -161,7 +163,7 @@ def _t(x, ld, L):
 
 
 def _r(x, z, ld, N, L):
-    """r_N(x, z) elementwise, complex-valued, from ld = _log_dress(z, N+L-1, .); see helper_rN."""
+    """r_N(x, z) elementwise, complex-valued, from ld = _log_dress(N+L-1, .); see helper_rN."""
     log_x = (_log_half_moment(N + L - 2.0, x, tail=False)
              - log_gamma(N + L - 1.0) - _HALF_LOG_2PI)
     # |z|^L z^{N-1} on the real axis: N even makes z^{N-1} carry sgn(z)
@@ -179,7 +181,7 @@ def helper_sN(z, w, params: EnsembleParams):
     """
     _require_real_even(params)
     a, b = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
-    ld = _log_dress(a, params.L, _log_psi(a)) + _log_dress(b, params.L, _log_psi(b))
+    ld = _log_dress(params.L, _log_psi(a)) + _log_dress(params.L, _log_psi(b))
     return _finish(_s_series(a * b, ld, params.N, params.L), z, w)
 
 
@@ -194,7 +196,7 @@ def helper_t(x, z, params: EnsembleParams):
     """
     _require_real_even(params)
     z = np.asarray(z, dtype=complex)
-    val = _t(np.asarray(x, dtype=float), _log_dress(z, params.L, _log_psi(z)), params.L)
+    val = _t(np.asarray(x, dtype=float), _log_dress(params.L, _log_psi(z)), params.L)
     return _finish(val, z)
 
 
@@ -211,7 +213,7 @@ def helper_rN(x, z, params: EnsembleParams):
     _require_real_even(params)
     N, L = params.N, params.L
     z = np.asarray(z, dtype=complex)
-    val = _r(np.asarray(x, dtype=float), z, _log_dress(z, N + L - 1.0, _log_psi(z)), N, L)
+    val = _r(np.asarray(x, dtype=float), z, _log_dress(N + L - 1.0, _log_psi(z)), N, L)
     return _finish(val, z)
 
 
@@ -334,7 +336,7 @@ def _kernel_arrays(a, b, params: EnsembleParams) -> RealKernelEntries:
     a, b = _upper(a), _upper(b)
     a_real, b_real = a.imag == 0.0, b.imag == 0.0
     psi_a, psi_b = _log_psi(a), _log_psi(b)
-    lda, ldb = _log_dress(a, L, psi_a), _log_dress(b, L, psi_b)
+    lda, ldb = _log_dress(L, psi_a), _log_dress(L, psi_b)
     if b_real.all():
         s = sc = _s_series(a * b, lda + ldb, N, L)
     else:
@@ -343,9 +345,9 @@ def _kernel_arrays(a, b, params: EnsembleParams) -> RealKernelEntries:
                           np.stack([lda + ldb, lda + ldb.conj()]), N, L)
     u_ba = u_ab = 0.0
     if b_real.any():
-        u_ba = _r(b.real, a, _log_dress(a, N + L - 1.0, psi_a), N, L) + _t(b.real, lda, L)
+        u_ba = _r(b.real, a, _log_dress(N + L - 1.0, psi_a), N, L) + _t(b.real, lda, L)
     if (a_real & ~b_real).any():
-        u_ab = _r(a.real, b, _log_dress(b, N + L - 1.0, psi_b), N, L) + _t(a.real, ldb, L)
+        u_ab = _r(a.real, b, _log_dress(N + L - 1.0, psi_b), N, L) + _t(a.real, ldb, L)
     rr = a_real & b_real
     is_rr = 0.0
     if rr.any():
@@ -362,9 +364,14 @@ def kernel_entries(a, b, params: EnsembleParams) -> RealKernelEntries:
     folded onto its upper-half-plane conjugate representative.  DS and IS
     are antisymmetric under (a, b) swap; for two real arguments all entries
     are real-valued.  Array arguments broadcast against each other and give
-    arrays of entries; scalar arguments give Python scalars.
+    arrays of entries; scalar arguments give Python scalars, with the bits
+    the pair has inside any broadcast call: they run as one-element arrays,
+    since numpy fuses a complex product (FMA) on arrays but not on scalars.
     """
-    return _kernel_arrays(a, b, params)
+    if np.ndim(a) or np.ndim(b):
+        return _kernel_arrays(a, b, params)
+    e = _kernel_arrays([a], [b], params)
+    return RealKernelEntries(e.DS.item(), e.S.item(), e.IS.item(), e.eps.item())
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +441,8 @@ def density_real(x, params: EnsembleParams):
     u = x * x
     bulk = (_reg_p(L, u) - lower_reg_gamma(L + N - 1.0, u)) / math.sqrt(2.0 * math.pi)
     lpsi = _log_psi(x)
-    t = _t(x, _log_dress(x, L, lpsi), L).real
-    r = _r(x, x, _log_dress(x, N + L - 1.0, lpsi), N, L).real
+    t = _t(x, _log_dress(L, lpsi), L).real
+    r = _r(x, x, _log_dress(N + L - 1.0, lpsi), N, L).real
     val = bulk + t + r
     return _as_scalar(val)
 
@@ -534,7 +541,7 @@ def log_jpdf_real_partial(reals, complexes, params: EnsembleParams):
         out = out + _log_gap_sum(lam)
     # point weights: the dressing psi(x)|x|^L per real, |psi(z) z^L|^2 per pair;
     # a zero weight or a coincidence gives -inf through the sums
-    weight = _log_dress(p, L, _log_psi(p)).real
+    weight = _log_dress(L, _log_psi(p)).real
     return _as_scalar(out + np.sum(weight[..., :k], -1) + 2.0 * np.sum(weight[..., k:], -1))
 
 
@@ -620,7 +627,7 @@ def skew_inner(f, g, L: float) -> float:
 
 def _limit_g(a, b):
     """Limit of s_N at unit local scale: e^{ab} times the finite-N dressings."""
-    return np.exp(a * b + _log_dress(a, 0, _log_psi(a)) + _log_dress(b, 0, _log_psi(b))
+    return np.exp(a * b + _log_dress(0, _log_psi(a)) + _log_dress(0, _log_psi(b))
                   - _HALF_LOG_2PI)
 
 
@@ -721,7 +728,7 @@ def density_real_origin_limit(x, L: float):
     not depend on N; reduces to the constant 1/sqrt(2 pi) at L=0.
     """
     x = np.asarray(x, dtype=float)
-    t = _t(x, _log_dress(x, L, _log_psi(x)), L).real
+    t = _t(x, _log_dress(L, _log_psi(x)), L).real
     val = _reg_p(L, x * x) / math.sqrt(2.0 * math.pi) + t
     return _as_scalar(val)
 

@@ -14,11 +14,16 @@ modules reach it through the same loader for the complex erfc and the real
 erf that the wrappers do not cover.
 
 log_exp_series is the truncated exponential series behind both kernels: one
-Horner recursion with two executors.  Arrays run it in place with a few
-ufunc calls per step; inputs of at most _SMALL elements (a scalar kernel
-call) run it element by element on Python complex numbers, since a numpy
-step costs about the same on one element as on a thousand.  Both perform the
-same floating-point operations in the same order and give the same bits.
+Horner recursion with two executors.  Each element starts the recursion at
+its own last significant term (_last_term: about |zeta| - L + 10 sqrt|zeta|,
+never past n-1), which leaves out terms summing to below 2^-65 of the
+largest, so an element costs O(|zeta| - L + sqrt|zeta|) steps, not O(n).
+Arrays run it in place with a few ufunc calls per step, sorted by start so
+that each step runs on the prefix that has started; inputs of at most _SMALL
+elements (a scalar kernel call) run it element by element on Python complex
+numbers, since a numpy step costs about the same on one element as on a
+thousand.  Both perform the same floating-point operations in the same
+order and give the same bits.
 
 All functions are pure, accept scalars or arrays, and never overflow for
 in-domain input.
@@ -111,28 +116,52 @@ def log_gamma(a):
     return _scipy_special().gammaln(a)
 
 
+def _last_term(r, L):
+    """The start rule: the last index log_exp_series keeps at |zeta| = r (finite).
+
+    The terms |zeta|^j / Gamma(L+j+1) peak near j = r - L and fall off past
+    it like a Gaussian of width sqrt(r), so the ones past this index sum to
+    less than 2^-65 of the largest (2^-65.5 at worst, near r = 10 to 13).
+    Python floats; the array executor spells the same operations in numpy.
+    """
+    return math.ceil(max(r - L, 0.0) + 10.0 * math.sqrt(r) + 10.0)
+
+
+def _skip(r, n, L):
+    """Leading steps of the n-term recursion an element at |zeta| = r (finite)
+    leaves out: the whole rescale blocks above its last significant index."""
+    return (n - 1 - min(n - 1, _last_term(r, L))) // _RESCALE_EVERY * _RESCALE_EVERY
+
+
 def log_exp_series(zeta, n, L):
     """log sum_{j=0}^{n-1} zeta^j / Gamma(L+j+1), elementwise in complex zeta.
 
-    Backward Horner recursion h <- 1 + h zeta/(L+j), j = n-1, ..., 1; the
-    sum is then h/Gamma(L+1).  h is kept as h * 2^e, rescaled exactly every
-    16 steps (every step once some |zeta| passes ~1e17), so nothing
-    overflows for any n.  h*zeta is formed as h*Re(zeta) + h*(i Im(zeta)),
-    where each product has one cross term that is exactly zero, so it rounds
-    once per component however the multiply is carried out.
+    Backward Horner recursion h <- 1 + h zeta/(L+j), j = J, ..., 1; the sum
+    is then h/Gamma(L+1).  Each element starts at its own last significant
+    index J = min(n-1, _last_term(|zeta|, L)), moved up onto the rescale grid
+    below (n-1 for a non-finite |zeta|), so it costs O(|zeta| - L +
+    sqrt|zeta|) steps rather than n, and the terms it leaves out sum to less
+    than 2^-65 of the largest.  h is kept as h * 2^e, rescaled exactly after
+    every step j with (n - j) % 16 = 0 (every step once some |zeta| passes
+    ~1e17), so nothing overflows for any n; an element that needs all n-1
+    steps runs exactly the full recursion.  h*zeta is formed as
+    h*Re(zeta) + h*(i Im(zeta)), where each product has one cross term that
+    is exactly zero, so it rounds once per component however the multiply
+    is carried out.
 
     The recursion has two executors that perform the same operations in the
     same order.  Inputs of at most _SMALL finite elements run it one element
     at a time on Python complex numbers; larger ones, and any non-finite
-    input, run it on arrays the shape of zeta (none has an n axis).  A numpy
-    step pays a few ufunc dispatches however small the array, so on one
-    element at n=127 the Python loop takes about 0.1 ms against 0.8-1.2 ms,
-    while from about 16 elements up the array loop is faster (2-vCPU x86-64
-    host); _SMALL sits well below that crossover.  Either way an element
-    gets the same bits in a scalar call as inside any array of the same
-    rescale cadence (an array holding some |zeta| past ~1e17 rescales every
-    step, which can move the last bit of the log).  Non-finite zeta gives
-    nan for n >= 2.
+    input, run it on arrays sorted by start, each step on the prefix of
+    elements that have started (none has an n axis).  A numpy step pays a
+    few ufunc dispatches however small the array, so on one element at
+    n=127 the Python loop takes about 0.1 ms against 0.8-1.2 ms, while from
+    about 16 elements up the array loop is faster (2-vCPU x86-64 host);
+    _SMALL sits well below that crossover.  Either way an element gets the
+    same bits in a scalar call as inside any array of the same rescale
+    cadence (an array holding some |zeta| past ~1e17 rescales every step,
+    which can move the last bit of the log).  Non-finite zeta gives nan for
+    n >= 2.
 
     The error is absolute: below about n*eps times
     sum_j |zeta|^j / Gamma(L+j+1); where the terms cancel (Re zeta << 0) a
@@ -143,56 +172,94 @@ def log_exp_series(zeta, n, L):
         raise ValueError("log_exp_series needs n >= 1 and L >= 0")
     zeta = np.asarray(zeta, dtype=complex)
     shape, zeta = zeta.shape, zeta.reshape(-1)
-    re_z, im_z = zeta.real + 0j, 1j * zeta.imag
+    r = np.abs(zeta)
     # a step grows |h| by at most 1 + |zeta|/(L+1); e^700 is near overflow
-    growth = math.log1p(float(np.abs(zeta).max(initial=0.0)) / (L + 1.0))
+    growth = math.log1p(float(r.max(initial=0.0)) / (L + 1.0))
     every = _RESCALE_EVERY if (_RESCALE_EVERY + 1) * growth < 700.0 else 1
     if zeta.size <= _SMALL and math.isfinite(growth):
-        h, e = _horner_elements(re_z.tolist(), im_z.tolist(), n, L, every)
+        h, e = _horner_elements((zeta.real + 0j).tolist(), (1j * zeta.imag).tolist(),
+                                r.tolist(), n, L, every)
     else:
-        h, e = _horner_arrays(re_z, im_z, n, L, every)
+        h, e = _horner_sorted(zeta, r, n, L, every)
     with np.errstate(divide="ignore"):
         np.log(h, out=h)
     h.real += e * _LN2 - _scipy_special().gammaln(L + 1.0)
     return h.reshape(shape)
 
 
-def _horner_arrays(re_z, im_z, n, L, every):
-    """log_exp_series' recursion on whole arrays: (h, e) with the sum h 2^e."""
-    h, t = np.ones_like(re_z), np.empty_like(re_z)
-    e = np.zeros(re_z.shape, dtype=np.int32)
-    one = np.ones(re_z.shape)  # the recursion's 1 in units of 2^e
-    for step, j in enumerate(range(n - 1, 0, -1), 1):
-        np.multiply(h, im_z, out=t)
-        h *= re_z
-        h += t
-        h *= 1.0 / (L + j)
-        np.add(h.real, one, out=h.real)
-        if step % every == 0:
-            # h *= 2^-k, e += k, one = 2^-e, k the binary exponent of
-            # max(|Re h|, |Im h|, one); e >= 0 keeps one <= 1
-            m = np.maximum(np.abs(h.real), np.abs(h.imag))
-            k = np.frexp(np.maximum(m, one, out=m))[1]
-            e += k
-            np.ldexp(h.real, -k, out=h.real)
-            np.ldexp(h.imag, -k, out=h.imag)
-            np.ldexp(1.0, -e, out=one)
+def _horner_sorted(zeta, r, n, L, every):
+    """_horner_arrays on the elements sorted by start, scattered back after."""
+    # _skip on arrays, in rescale blocks; fmin sends a nan start to n-1 as it
+    # does inf.  The sort puts the elements that start first in front, so
+    # each block of steps runs on a prefix.
+    last = np.sqrt(r)
+    last *= 10.0
+    last += np.maximum(r - L, 0.0)
+    last += 10.0
+    np.ceil(last, out=last)
+    skip = ((n - 1 - np.fmin(last, n - 1)) // _RESCALE_EVERY).astype(np.intp)
+    del last
+    order = np.argsort(skip, kind="stable")
+    started = np.cumsum(np.bincount(skip, minlength=-(-(n - 1) // _RESCALE_EVERY)))
+    del skip
+    hs, es = _horner_arrays(zeta.real[order] + 0j, 1j * zeta.imag[order], started, n, L, every)
+    h, e = np.empty_like(hs), np.empty_like(es)
+    h[order], e[order] = hs, es
     return h, e
 
 
-def _horner_elements(re_z, im_z, n, L, every):
+def _horner_arrays(re_z, im_z, started, n, L, every):
+    """log_exp_series' recursion on whole arrays: (h, e) with the sum h 2^e.
+
+    started[b] elements, a prefix, run the steps of rescale block b.  The
+    setup lives in the caller: under tracemalloc each allocation looks its
+    line up in the function's line table, so a step costs more the further
+    it sits into a long function.
+    """
+    h, t = np.ones_like(re_z), np.empty_like(re_z)
+    e = np.zeros(re_z.shape, dtype=np.int32)
+    one = np.ones(re_z.shape)  # the recursion's 1 in units of 2^e
+    for first, m in zip(range(1, n, _RESCALE_EVERY), started):
+        if not m:
+            continue
+        hm, tm, em, om, rm, im = h[:m], t[:m], e[:m], one[:m], re_z[:m], im_z[:m]
+        hr = hm.real
+        for step in range(first, min(first + _RESCALE_EVERY, n)):
+            np.multiply(hm, im, out=tm)
+            hm *= rm
+            hm += tm
+            hm *= 1.0 / (L + (n - step))
+            np.add(hr, om, out=hr)
+            if step % every == 0:
+                # h *= 2^-k, e += k, one = 2^-e, k the binary exponent of
+                # max(|Re h|, |Im h|, one), formed in t; e >= 0 keeps one <= 1
+                mx = tm.real
+                np.abs(hr, out=mx)
+                np.maximum(mx, np.abs(hm.imag, out=tm.imag), out=mx)
+                k = np.frexp(np.maximum(mx, om, out=mx))[1]
+                em += k
+                np.ldexp(hr, -k, out=hr)
+                np.ldexp(hm.imag, -k, out=hm.imag)
+                np.ldexp(1.0, -em, out=om)
+    return h, e
+
+
+def _horner_elements(re_z, im_z, r, n, L, every):
     """_horner_arrays' recursion run element by element on Python complex.
 
     Each multiplier is a complex, so a product is the same two-term formula
     numpy uses, and the 1 is added as complex(one, -0.0), which leaves the
     imaginary part (and the sign of a zero) as numpy's real-part add does.
     """
-    scale = (1.0 / (L + np.arange(n - 1, 0, -1))).astype(complex).tolist()
+    skips = [_skip(x, n, L) for x in r]
+    first = min(skips, default=0)
+    scale = (1.0 / (L + np.arange(n - 1 - first, 0, -1))).astype(complex).tolist()
     hs, es = [], []
-    for re, im in zip(re_z, im_z):
+    for re, im, skip in zip(re_z, im_z, skips):
         h, e, one = 1 + 0j, 0, complex(1.0, -0.0)
-        # runs of `every` steps, each full run followed by a rescaling
-        for start in range(0, len(scale), every):
+        # runs of `every` steps from the element's start, each full run
+        # followed by a rescaling
+        for start in range(skip - first, len(scale), every):
             for c in scale[start:start + every]:
                 h = (h * re + h * im) * c + one
             if start + every <= len(scale):

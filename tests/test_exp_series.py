@@ -75,24 +75,26 @@ def abs_error(got, want):
         return float(abs(mpmath.mpc(complex(got)) - want))
 
 
-@pytest.mark.parametrize("N", [128, 1000])
+@pytest.mark.parametrize("N", [128, 1000, 4000])
 @pytest.mark.parametrize("L", [0.0, 0.5, 32.0])
 def test_kernel_KN_absolute_accuracy(N, L):
     params = EnsembleParams(N=N, L=L, beta=2)
     for z, w in ring_pairs(N, L, 8, seed=N + int(2 * L)):
-        scale = math.sqrt(float((mp_kernel(z, z, N, L) * mp_kernel(w, w, N, L)).real))
+        scale = float(mpmath.sqrt((mp_kernel(z, z, N, L) * mp_kernel(w, w, N, L)).real))
         err = abs_error(kernel_KN(z, w, params), mp_kernel(z, w, N, L))
         assert err <= CONTRACT * scale, (z, w, err / scale)
 
 
-@pytest.mark.parametrize("N", [128, 1000])
+@pytest.mark.parametrize("N", [128, 1000, 4000])
 @pytest.mark.parametrize("L", [0.0, 0.5, 32.0])
 def test_helper_sN_absolute_accuracy(N, L):
     params = EnsembleParams(N=N, L=L, beta=1)
     pairs = ring_pairs(N, L, 8, seed=7 * N + int(2 * L))
     pairs[1] = pairs[1].real  # a real/real pair, where the dressing takes |x|^L
     for z, w in pairs:
-        scale = math.sqrt(float(abs(mp_sN(z, np.conj(z), N, L)) * abs(mp_sN(w, np.conj(w), N, L))))
+        # the square root is taken in mpmath: at N=4000 the product underflows
+        diag = abs(mp_sN(z, np.conj(z), N, L)) * abs(mp_sN(w, np.conj(w), N, L))
+        scale = float(mpmath.sqrt(diag))
         err = abs_error(helper_sN(z, w, params), mp_sN(z, w, N, L))
         assert err <= CONTRACT * scale, (z, w, err / scale)
 
@@ -105,6 +107,79 @@ def test_origin_kernel_absolute_accuracy(L):
         scale = math.sqrt(float((mp_kernel(z, z, None, L) * mp_kernel(w, w, None, L)).real))
         err = abs_error(origin_kernel(z, w, L), mp_kernel(z, w, None, L))
         assert err <= CONTRACT * scale, (z, w, err / scale)
+
+
+def dropped_share(zeta, n, L, first):
+    """|sum_{first <= j < n} zeta^j / Gamma(L+j+1)| over the largest |term| of
+    j < n, in 30-digit arithmetic.  Past the peak the terms fall; the sum
+    stops once a term is below 2^-90 of the largest and the ratio of the
+    next ones below 1/2, which bounds the rest by that term."""
+    with mpmath.workdps(30):
+        z, L = mpmath.mpc(zeta), mpmath.mpf(L)
+        r = abs(z)
+        peak = min(n - 1, max(0, math.floor(float(r - L))))
+        largest = r ** peak / mpmath.gamma(L + peak + 1)
+        term = z ** first / mpmath.gamma(L + first + 1)
+        tail = mpmath.mpc(0)
+        for j in range(first, n):
+            tail += term
+            if abs(term) < largest * mpmath.mpf(2) ** -90 and r < (L + j + 1) / 2:
+                break
+            term *= z / (L + j + 1)
+        return float(abs(tail) / largest)
+
+
+@pytest.mark.parametrize("n", [2, 17, 128, 1000, 4000])
+def test_start_rule_drops_a_negligible_tail(n):
+    # each element starts its recursion at J = n-1 - special._skip(|zeta|, n, L);
+    # the terms it leaves out, j = J+1 .. n-1, sum to at most 2^-60 of the
+    # largest term, for |zeta| from 0 to 2(n+L) on and off the real axis,
+    # Re zeta << 0 included
+    for L in (0.0, 0.5, 32.0, 500.0):
+        radii = np.concatenate([[0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 4.0],
+                                np.linspace(0.0, 2.0 * (n + L), 17)[1:]])
+        for r in radii:
+            first = n - special._skip(r, n, L)
+            for phase in (0.0, 0.5 * np.pi, 0.9 * np.pi, np.pi):
+                share = dropped_share(r * np.exp(1j * phase), n, L, first)
+                assert share <= 2.0 ** -60, (n, L, r, phase, share)
+
+
+def test_series_element_keeps_the_truncated_series_bits():
+    # an element that skips k leading steps (k a multiple of the rescale
+    # period) gets the bits of the (n-k)-term series, which runs the same
+    # steps from the same start, alone and inside an array
+    rng = np.random.default_rng(6)
+    for n, L in ((1000, 0.0), (1000, 32.0), (4000, 0.5)):
+        zeta = rng.uniform(0.0, 1.2 * (n + L), size=12) * np.exp(2j * np.pi * rng.uniform(size=12))
+        inside = log_exp_series(zeta, n, L)
+        for k, v in enumerate(zeta):
+            skip = special._skip(abs(v), n, L)
+            want = bits(log_exp_series(v, n - skip, L))
+            assert np.array_equal(bits(log_exp_series(v, n, L)), want), (n, L, v)
+            assert np.array_equal(bits(inside[k]), want), (n, L, v)
+
+
+# values of the full (n-1)-step recursion, recorded when every element ran
+# all of its steps; an element whose start is n-1 still runs exactly that
+# recursion, so it keeps these bits
+FULL_RECURSION_BITS = [
+    (17, 0.0, 3 + 1j, "0x1.8000001413162p+1", "0x1.000000dfaf4c2p+0"),
+    (17, 0.5, -2.5 + 0.5j, "-0x1.40aa29873d8ebp+0", "0x1.ad24b5071c8f3p-3"),
+    (128, 32.0, 80 + 20j, "-0x1.e98f0b8e41f72p+5", "-0x1.9f6ca1b53b683p-2"),
+    (128, 0.0, complex(-60.0, -0.0), "0x1.b4950249b54a6p+4", "0x1.921fb54442d18p+1"),
+    (1000, 0.5, -700 + 300j, "0x1.67afb2311d919p+9", "0x1.ab90dc5697de0p-2"),
+    (1000, 32.0, 900j, "0x1.4e34f46651523p+9", "-0x1.365543e9d9caep+1"),
+]
+
+
+@pytest.mark.parametrize("n, L, zeta, re_hex, im_hex", FULL_RECURSION_BITS)
+def test_series_full_recursion_keeps_its_bits(n, L, zeta, re_hex, im_hex):
+    assert special._skip(abs(zeta), n, L) == 0
+    want = complex(float.fromhex(re_hex), float.fromhex(im_hex))
+    pool = np.array([zeta, 0.5, 3.0j, -40.0, zeta, 2.0 + 2.0j])
+    for got in (complex(log_exp_series(zeta, n, L)), complex(log_exp_series(pool, n, L)[4])):
+        assert bits(got).tobytes() == bits(want).tobytes(), (n, L, zeta, got)
 
 
 def test_series_against_incomplete_gamma():
@@ -168,6 +243,26 @@ def test_series_element_independent_of_array():
                     for start in range(pool.size - size + 1):
                         got = bits(log_exp_series(pool[start:start + size], n, L))
                         assert np.array_equal(got, ref[start:start + size]), (n, L, size, start)
+
+
+def test_series_mixed_starts_independent_of_window():
+    # moduli from 0 to past n+L, so the elements start their recursions at
+    # different indices: every window of sizes 1-6 (run element by element
+    # up to special._SMALL, on sorted arrays above) has the bits the pool
+    # gets as one array, signed zeros included
+    rng = np.random.default_rng(8)
+    for n, L in ((1000, 0.0), (1000, 32.0), (300, 0.5), (40, 500.0)):
+        moduli = np.array([0.0, 0.0, 0.3, 1.0, 7.0, 60.0, 0.4 * n, 0.9 * n, 1.3 * (n + L), 25.0])
+        pool = moduli * np.exp(1j * rng.uniform(-np.pi, np.pi, size=moduli.size))
+        pool[0], pool[1] = complex(-0.0, 0.0), complex(0.0, -0.0)
+        pool[4] = complex(-7.0, -0.0)
+        ref = bits(log_exp_series(pool, n, L))
+        starts = {special._skip(abs(v), n, L) for v in pool}
+        assert len(starts) > 2 or n == 40, (n, L, starts)
+        for size in range(1, 7):
+            for start in range(pool.size - size + 1):
+                got = bits(log_exp_series(pool[start:start + size], n, L))
+                assert np.array_equal(got, ref[start:start + size]), (n, L, size, start)
 
 
 def bits(values):
